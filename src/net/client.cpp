@@ -1,25 +1,13 @@
 #include "net/client.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <poll.h>
 #include <sys/socket.h>
 
+#include "common/clock.hpp"
 #include "common/logging.hpp"
 
 namespace ftsim {
-
-namespace {
-
-double
-monotonicMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-}  // namespace
 
 Result<NetClient>
 NetClient::connectTo(const std::string& host, std::uint16_t port,

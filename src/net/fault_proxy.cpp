@@ -1,15 +1,12 @@
 #include "net/fault_proxy.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <mutex>
-#include <poll.h>
 #include <random>
 #include <sys/socket.h>
-#include <unistd.h>
 #include <vector>
 
-#include "common/logging.hpp"
+#include "net/event_loop.hpp"
 #include "net/socket.hpp"
 
 namespace ftsim {
@@ -27,10 +24,9 @@ flowIndex(FaultDirection direction)
 
 }  // namespace
 
-/** Poll-loop internals; forwarding state is loop-thread-owned, the
- *  controls cross via controlMutex + the wake pipe, stats via
- *  atomics. */
-struct FaultProxy::Impl {
+/** Loop driver; forwarding state is loop-thread-owned, the controls
+ *  cross via controlMutex + the loop's wake pipe, stats via atomics. */
+struct FaultProxy::Impl : EventLoop::Driver, EventLoop::Handler {
     /** One forwarded direction of a link. */
     struct Flow {
         std::string buf;       ///< Bytes read but not yet written.
@@ -44,10 +40,37 @@ struct FaultProxy::Impl {
         std::size_t pending() const { return buf.size() - off; }
     };
 
+    struct Link;
+
+    /** One socket of a link: the source of flow[d], the sink of the
+     *  other flow. */
+    struct End : EventLoop::Handler {
+        End(Impl& p, Link& l, std::size_t dir) : proxy(p), link(l), d(dir)
+        {
+        }
+
+        void onReady(short revents) override
+        {
+            proxy.onEndReady(link, d, revents);
+        }
+
+        Impl& proxy;
+        Link& link;
+        const std::size_t d;
+        Connection socket;
+    };
+
     /** One proxied connection pair. */
     struct Link {
-        Connection client;
-        Connection upstream;
+        explicit Link(Impl& proxy)
+            : end{{proxy, *this, kC2S}, {proxy, *this, kS2C}}
+        {
+        }
+
+        Connection& source(std::size_t d) { return end[d].socket; }
+        Connection& sink(std::size_t d) { return end[1 - d].socket; }
+
+        End end[2];  ///< [kC2S] the client side, [kS2C] the upstream.
         bool connecting = true;  ///< Upstream handshake in flight.
         bool dead = false;
         bool faultFired = false;
@@ -55,37 +78,7 @@ struct FaultProxy::Impl {
         std::mt19937_64 rng;
     };
 
-    explicit Impl(FaultProxyConfig cfg) : config(std::move(cfg))
-    {
-        int fds[2] = {-1, -1};
-        if (::pipe(fds) != 0)
-            fatal("FaultProxy: cannot create wake pipe");
-        setNonBlocking(fds[0]);
-        setNonBlocking(fds[1]);
-        wakeRead = fds[0];
-        wakeWrite = fds[1];
-    }
-
-    ~Impl()
-    {
-        if (wakeRead >= 0)
-            ::close(wakeRead);
-        if (wakeWrite >= 0)
-            ::close(wakeWrite);
-    }
-
-    void wake()
-    {
-        const char byte = 1;
-        [[maybe_unused]] ssize_t n = ::write(wakeWrite, &byte, 1);
-    }
-
-    void drainWakePipe()
-    {
-        char buf[256];
-        while (::read(wakeRead, buf, sizeof(buf)) > 0) {
-        }
-    }
+    explicit Impl(FaultProxyConfig cfg) : config(std::move(cfg)) {}
 
     void fireFault(Link& link)
     {
@@ -104,14 +97,14 @@ struct FaultProxy::Impl {
         // the fds close, and may read stats() right away.
         if (counted)
             killed.fetch_add(1);
-        link.client.close();
-        link.upstream.close();
+        link.end[kC2S].socket.close();
+        link.end[kS2C].socket.close();
     }
 
     void shutSink(Link& link, std::size_t d)
     {
         Flow& flow = link.flow[d];
-        Connection& sink = d == kC2S ? link.upstream : link.client;
+        Connection& sink = link.sink(d);
         if (!flow.sinkShut && sink.valid()) {
             ::shutdown(sink.fd(), SHUT_WR);
             flow.sinkShut = true;
@@ -123,7 +116,7 @@ struct FaultProxy::Impl {
     void pumpRead(Link& link, std::size_t d)
     {
         Flow& flow = link.flow[d];
-        Connection& src = d == kC2S ? link.client : link.upstream;
+        Connection& src = link.source(d);
         while (!link.dead && !flow.srcEof) {
             char tmp[16384];
             std::size_t cap = sizeof(tmp);
@@ -160,8 +153,7 @@ struct FaultProxy::Impl {
 
     /** True when direction @p d is parked by an armed Stall (so the
      *  loop must not poll POLLOUT for it — buffered bytes wait). */
-    bool stalled(const Link& link, std::size_t d,
-                 const FaultScript& script) const
+    bool stalled(const Link& link, std::size_t d) const
     {
         return script.kind == FaultKind::Stall &&
                flowIndex(script.direction) == d &&
@@ -170,11 +162,10 @@ struct FaultProxy::Impl {
 
     /** Writes direction @p d's buffered bytes to its sink, applying
      *  the armed fault at its exact byte offset. */
-    void pumpWrite(Link& link, std::size_t d,
-                   const FaultScript& script)
+    void pumpWrite(Link& link, std::size_t d)
     {
         Flow& flow = link.flow[d];
-        Connection& sink = d == kC2S ? link.upstream : link.client;
+        Connection& sink = link.sink(d);
         const bool scripted = script.kind != FaultKind::None &&
                               flowIndex(script.direction) == d;
         if (scripted && flow.forwarded >= script.afterBytes) {
@@ -242,130 +233,114 @@ struct FaultProxy::Impl {
         }
     }
 
-    void loop()
+    /** Readiness on the end of @p link that flow @p d reads from. */
+    void onEndReady(Link& link, std::size_t d, short revents)
     {
-        std::vector<pollfd> fds;
-        std::vector<Link*> polled;
-        while (true) {
-            FaultScript script;
-            std::string host;
-            std::uint16_t port = 0;
-            std::uint64_t killGen = 0;
-            {
-                std::lock_guard<std::mutex> lock(controlMutex);
-                script = currentScript;
-                host = targetHost;
-                port = targetPort;
-                killGen = killGeneration;
+        if (link.dead)
+            return;
+        if (d == kS2C && link.connecting) {
+            if (!(revents & (POLLOUT | POLLERR | POLLHUP)))
+                return;
+            if (!link.source(kS2C).finishConnect()) {
+                killLink(link, true);
+                return;
             }
-            if (killGen != killGenSeen) {
-                killGenSeen = killGen;
-                for (auto& link : links)
-                    killLink(*link, true);
-            }
-            if (stopRequested.load())
-                break;
-
-            for (auto it = links.begin(); it != links.end();) {
-                Link& link = **it;
-                const bool done =
-                    link.dead ||
-                    (link.flow[kC2S].srcEof && link.flow[kS2C].srcEof &&
-                     link.flow[kC2S].pending() == 0 &&
-                     link.flow[kS2C].pending() == 0);
-                it = done ? links.erase(it) : it + 1;
-            }
-            linksOpen.store(links.size());
-
-            fds.clear();
-            polled.clear();
-            fds.push_back({wakeRead, POLLIN, 0});
-            if (listener.valid())
-                fds.push_back({listener.fd(), POLLIN, 0});
-            for (auto& linkPtr : links) {
-                Link& link = *linkPtr;
-                short clientEvents = 0;
-                short upstreamEvents = 0;
-                const Flow& c2s = link.flow[kC2S];
-                const Flow& s2c = link.flow[kS2C];
-                if (!c2s.srcEof &&
-                    (c2s.discarding ||
-                     c2s.pending() < config.maxBufferBytes))
-                    clientEvents |= POLLIN;
-                if (s2c.pending() > 0 && !s2c.sinkShut &&
-                    !stalled(link, kS2C, script))
-                    clientEvents |= POLLOUT;
-                if (link.connecting) {
-                    upstreamEvents |= POLLOUT;
-                } else {
-                    if (!s2c.srcEof &&
-                        (s2c.discarding ||
-                         s2c.pending() < config.maxBufferBytes))
-                        upstreamEvents |= POLLIN;
-                    if (c2s.pending() > 0 && !c2s.sinkShut &&
-                        !stalled(link, kC2S, script))
-                        upstreamEvents |= POLLOUT;
-                }
-                fds.push_back({link.client.fd(), clientEvents, 0});
-                fds.push_back({link.upstream.fd(), upstreamEvents, 0});
-                polled.push_back(linkPtr.get());
-            }
-
-            const int rc = ::poll(fds.data(),
-                                  static_cast<nfds_t>(fds.size()), -1);
-            if (rc < 0 && errno != EINTR)
-                fatal("FaultProxy: poll() failed");
-
-            std::size_t index = 0;
-            if (fds[index].revents & POLLIN)
-                drainWakePipe();
-            ++index;
-            if (listener.valid()) {
-                if (fds[index].revents & POLLIN)
-                    acceptPending(host, port);
-                ++index;
-            }
-            for (std::size_t l = 0; l < polled.size();
-                 ++l, index += 2) {
-                Link& link = *polled[l];
-                const short clientRe = fds[index].revents;
-                const short upstreamRe = fds[index + 1].revents;
-                if (clientRe & (POLLERR | POLLNVAL)) {
-                    killLink(link, false);
-                    continue;
-                }
-                if (link.connecting &&
-                    (upstreamRe & (POLLOUT | POLLERR | POLLHUP))) {
-                    Result<bool> up = link.upstream.finishConnect();
-                    if (!up) {
-                        killLink(link, true);
-                        continue;
-                    }
-                    link.connecting = false;
-                }
-                if (!link.connecting &&
-                    (upstreamRe & (POLLERR | POLLNVAL))) {
-                    killLink(link, false);
-                    continue;
-                }
-                if (clientRe & (POLLIN | POLLHUP))
-                    pumpRead(link, kC2S);
-                if (!link.connecting &&
-                    (upstreamRe & (POLLIN | POLLHUP)))
-                    pumpRead(link, kS2C);
-            }
-
-            // Progress sweep: new bytes were buffered above, faults
-            // may be due at their exact offset — don't wait a poll
-            // round to act on either.
-            for (auto& link : links) {
-                if (link->dead || link->connecting)
-                    continue;
-                pumpWrite(*link, kC2S, script);
-                if (!link->dead)
-                    pumpWrite(*link, kS2C, script);
-            }
+            link.connecting = false;
         }
+        if (revents & (POLLERR | POLLNVAL)) {
+            killLink(link, false);
+            return;
+        }
+        if (revents & (POLLIN | POLLHUP))
+            pumpRead(link, d);
+    }
+
+    /** Whether @p flow may read from its source this round. */
+    bool readable(const Flow& flow) const
+    {
+        return !flow.srcEof &&
+               (flow.discarding || flow.pending() < config.maxBufferBytes);
+    }
+
+    /** Whether direction @p d has bytes its sink should take now. */
+    bool writable(const Link& link, std::size_t d) const
+    {
+        const Flow& flow = link.flow[d];
+        return flow.pending() > 0 && !flow.sinkShut &&
+               !stalled(link, d);
+    }
+
+    bool prepare() override
+    {
+        std::uint64_t killGen = 0;
+        {
+            std::lock_guard<std::mutex> lock(controlMutex);
+            script = currentScript;
+            host = targetHost;
+            port = targetPort;
+            killGen = killGeneration;
+        }
+        if (killGen != killGenSeen) {
+            killGenSeen = killGen;
+            for (auto& link : links)
+                killLink(*link, true);
+        }
+        if (loop.stopping())
+            return false;
+
+        for (auto it = links.begin(); it != links.end();) {
+            Link& link = **it;
+            const bool done =
+                link.dead ||
+                (link.flow[kC2S].srcEof && link.flow[kS2C].srcEof &&
+                 link.flow[kC2S].pending() == 0 &&
+                 link.flow[kS2C].pending() == 0);
+            it = done ? links.erase(it) : it + 1;
+        }
+        linksOpen.store(links.size());
+
+        if (listener.valid())
+            loop.watch(listener.fd(), POLLIN, *this);
+        for (auto& linkPtr : links) {
+            Link& link = *linkPtr;
+            short clientEvents = 0;
+            short upstreamEvents = 0;
+            if (readable(link.flow[kC2S]))
+                clientEvents |= POLLIN;
+            if (writable(link, kS2C))
+                clientEvents |= POLLOUT;
+            if (link.connecting) {
+                upstreamEvents |= POLLOUT;
+            } else {
+                if (readable(link.flow[kS2C]))
+                    upstreamEvents |= POLLIN;
+                if (writable(link, kC2S))
+                    upstreamEvents |= POLLOUT;
+            }
+            loop.watch(link.source(kC2S).fd(), clientEvents,
+                       link.end[kC2S]);
+            loop.watch(link.source(kS2C).fd(), upstreamEvents,
+                       link.end[kS2C]);
+        }
+        return true;
+    }
+
+    void afterEvents() override
+    {
+        // Progress sweep: new bytes were buffered this round, faults
+        // may be due at their exact offset — don't wait a poll round
+        // to act on either.
+        for (auto& link : links) {
+            if (link->dead || link->connecting)
+                continue;
+            pumpWrite(*link, kC2S);
+            if (!link->dead)
+                pumpWrite(*link, kS2C);
+        }
+    }
+
+    void onExit() override
+    {
         listener.close();
         for (auto& link : links)
             killLink(*link, false);
@@ -373,15 +348,16 @@ struct FaultProxy::Impl {
         linksOpen.store(0);
     }
 
-    void acceptPending(const std::string& host, std::uint16_t port)
+    /** The listener is readable: accept and dial upstream. */
+    void onReady(short) override
     {
         while (true) {
             Connection socket = listener.accept();
             if (!socket.valid())
                 break;
             accepted.fetch_add(1);
-            auto link = std::make_unique<Link>();
-            link->client = std::move(socket);
+            auto link = std::make_unique<Link>(*this);
+            link->source(kC2S) = std::move(socket);
             link->rng.seed(config.seed ^ accepted.load());
             Result<Connection> upstream =
                 Connection::connectStart(host, port);
@@ -389,24 +365,26 @@ struct FaultProxy::Impl {
                 killed.fetch_add(1);
                 continue;  // Link dies before it exists.
             }
-            link->upstream = std::move(upstream.value());
+            link->source(kS2C) = std::move(upstream.value());
             links.push_back(std::move(link));
         }
     }
 
     FaultProxyConfig config;
+    EventLoop loop;
     TcpListener listener;
-    int wakeRead = -1;
-    int wakeWrite = -1;
 
     std::mutex controlMutex;
     FaultScript currentScript;   ///< Guarded by controlMutex.
     std::string targetHost;      ///< Guarded by controlMutex.
     std::uint16_t targetPort = 0;  ///< Guarded by controlMutex.
     std::uint64_t killGeneration = 0;  ///< Guarded by controlMutex.
-    std::uint64_t killGenSeen = 0;     ///< Loop-thread only.
+    // Loop-thread copies of the controls, refreshed every round.
+    std::uint64_t killGenSeen = 0;
+    FaultScript script;
+    std::string host;
+    std::uint16_t port = 0;
 
-    std::atomic<bool> stopRequested{false};
     std::vector<std::unique_ptr<Link>> links;
 
     std::atomic<std::uint64_t> accepted{0};
@@ -438,7 +416,7 @@ FaultProxy::start()
     if (!listener)
         return listener.error();
     impl_->listener = std::move(listener.value());
-    loop_thread_ = std::thread([this] { impl_->loop(); });
+    impl_->loop.start(*impl_);
     return true;
 }
 
@@ -451,10 +429,7 @@ FaultProxy::port() const
 void
 FaultProxy::stop()
 {
-    impl_->stopRequested.store(true);
-    impl_->wake();
-    if (loop_thread_.joinable())
-        loop_thread_.join();
+    impl_->loop.stop();
 }
 
 void
@@ -464,7 +439,7 @@ FaultProxy::setFault(const FaultScript& script)
         std::lock_guard<std::mutex> lock(impl_->controlMutex);
         impl_->currentScript = script;
     }
-    impl_->wake();
+    impl_->loop.wake();
 }
 
 void
@@ -481,7 +456,7 @@ FaultProxy::setTarget(const std::string& host, std::uint16_t port)
         impl_->targetHost = host;
         impl_->targetPort = port;
     }
-    impl_->wake();
+    impl_->loop.wake();
 }
 
 void
@@ -491,7 +466,7 @@ FaultProxy::killConnections()
         std::lock_guard<std::mutex> lock(impl_->controlMutex);
         ++impl_->killGeneration;
     }
-    impl_->wake();
+    impl_->loop.wake();
 }
 
 FaultProxyStats

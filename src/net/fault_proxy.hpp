@@ -38,8 +38,9 @@
  * Runtime controls (any thread): `setFault` / `clearFault`,
  * `setTarget` (future links dial the new upstream — how a test "heals"
  * a killed shard with a fresh one), `killConnections` (drop every live
- * link now, listener stays). All forwarding state is loop-thread-owned;
- * the controls go through a mutex + wake pipe.
+ * link now, listener stays). Forwarding runs as handlers on one
+ * `EventLoop` (net/event_loop.hpp) and its state is loop-thread-owned;
+ * the controls go through a mutex + the loop's wake pipe.
  */
 
 #include <atomic>
@@ -47,7 +48,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/result.hpp"
 
@@ -150,7 +150,6 @@ class FaultProxy {
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
-    std::thread loop_thread_;
 };
 
 }  // namespace ftsim

@@ -3,33 +3,25 @@
 
 /**
  * @file
- * The network front end: a poll-based TCP server over the
- * `PlanService` JSON-lines protocol.
+ * The network front end: a TCP server over the `PlanService`
+ * JSON-lines and binary wire protocols.
  *
- * `NetServer` owns one `TcpListener`, one in-process `PlanService`,
- * and a single poll(2) event loop. Connections are non-blocking;
- * requests are framed by `WireFramer` (see net/framing.hpp), which
- * negotiates per frame between the JSON-lines codec and the binary
- * wire format of serve/wire.hpp — a frame opening with 0xF7 is
- * binary, anything else is a JSON line, and each response is written
- * in its request's format. Frames are parsed/decoded and submitted
- * to the service with a per-connection source label and a completion
- * callback that kicks the loop's wake pipe. Responses are written
- * back **per connection in request order** — answers compute out of
- * order across the worker pool, but each connection's pending queue
- * re-sequences them, exactly like `ftsim_serve` re-sequences a file.
+ * `NetServer` owns one in-process `PlanService` and the client side of
+ * one `EventLoop` (net/event_loop.hpp): a `ClientFront` of
+ * `ClientConn`s (net/client_conn.hpp). The connection type does the
+ * framing and decoding, answers undecodable frames with typed protocol
+ * errors in their own format, contains binary framing damage to its
+ * connection, and writes answers back **per connection in request
+ * order**. What this file adds is the service: each decoded request is
+ * submitted with a per-connection source label and a completion
+ * callback that wakes the loop, so answers compute out of order across
+ * the worker pool and are re-sequenced per connection, exactly like
+ * `ftsim_serve` re-sequences a file. Quota overflow answers
+ * `{"ok":false,"error":"RateLimited",...}` in the request's slot.
  *
- * Error containment mirrors the in-process service:
- *  - a frame that fails to parse/decode answers a typed protocol
- *    error in its slot and the connection keeps serving;
- *  - a JSON line that crosses the frame cap answers a protocol error
- *    and the rest of that line is discarded;
- *  - binary *framing* damage (bad magic/version, zero or over-cap
- *    length prefix, a frame truncated by EOF) cannot be recovered
- *    from — the connection answers one final error frame and closes;
- *    only that connection dies, never the process;
- *  - quota overflow answers `{"ok":false,"error":"RateLimited",...}`;
- *  - a socket error poisons only its connection, never the process.
+ * Timers on the loop's injectable clock: the idle timeout closes quiet,
+ * fully-drained connections, and the drain deadline bounds a graceful
+ * stop.
  *
  * Shutdown (`requestStop()`, safe to call from a signal handler —
  * it only stores an atomic and writes one byte to the wake pipe):
@@ -38,7 +30,7 @@
  * flushed — before the connections and the listener close. SIGTERM
  * never loses an in-flight answer.
  *
- * Concurrency model: one loop thread does all socket IO and all
+ * Concurrency model: the loop thread does all socket IO and all
  * framing/parsing; the PlanService worker pool does all planning. The
  * loop never blocks on a computation (futures are polled only when
  * ready, the wake pipe signals readiness), and workers never touch a
@@ -46,12 +38,10 @@
  * `start()` spawns it on a background thread (tests, the bench).
  */
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/result.hpp"
 #include "serve/plan_service.hpp"
@@ -131,7 +121,7 @@ struct NetServerStats {
     std::uint64_t forcedClosed = 0;
 };
 
-/** Poll-based TCP front end over a PlanService (see file comment). */
+/** TCP front end over a PlanService (see file comment). */
 class NetServer {
   public:
     explicit NetServer(NetServerConfig config = {});
@@ -166,7 +156,7 @@ class NetServer {
     void stop();
 
     /** True once run() has returned. */
-    bool stopped() const { return loop_done_.load(); }
+    bool stopped() const;
 
     /** The fronted service (stats, registry). */
     PlanService& service();
@@ -182,10 +172,8 @@ class NetServer {
     NetServerStats stats() const;
 
   private:
-    struct Impl;  ///< Poll loop internals (connections live here).
+    struct Impl;  ///< Loop driver (connections live here).
     std::unique_ptr<Impl> impl_;
-    std::thread loop_thread_;
-    std::atomic<bool> loop_done_{false};
 };
 
 }  // namespace ftsim

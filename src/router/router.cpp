@@ -1,18 +1,15 @@
 #include "router/router.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <deque>
 #include <map>
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/logging.hpp"
-#include "net/framing.hpp"
-#include "net/socket.hpp"
+#include "net/client_conn.hpp"
+#include "net/event_loop.hpp"
 #include "router/hash_ring.hpp"
 #include "serve/protocol.hpp"
 #include "serve/wire.hpp"
@@ -21,20 +18,9 @@ namespace ftsim {
 
 namespace {
 
-/** Blank lines are not requests (mirrors NetServer / ftsim_serve). */
-bool
-isBlank(const std::string& line)
-{
-    return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-double
-monotonicMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
+/** Frame cap on shard *response* lines: reports and snapshots are far
+ *  larger than any request. */
+constexpr std::size_t kMaxShardLineBytes = std::size_t{1} << 26;
 
 }  // namespace
 
@@ -51,9 +37,8 @@ shardStateName(ShardState state)
     return "?";
 }
 
-/** Poll-loop internals: every member is loop-thread-owned except the
- *  stop flag, the wake pipe's write end, and the atomics. */
-struct RouterServer::Impl {
+/** Loop driver: every member is loop-thread-owned except the atomics. */
+struct RouterServer::Impl : EventLoop::Driver, RequestHandler {
     /**
      * One answer owed to a client, shared between the client
      * connection's pending queue (write-back order) and — while the
@@ -72,7 +57,7 @@ struct RouterServer::Impl {
      */
     struct StatsGather;
 
-    struct Slot {
+    struct Slot : Relay {
         /** Who consumes the answer. */
         enum class Purpose {
             Client,         ///< A client connection's pending queue.
@@ -105,10 +90,6 @@ struct RouterServer::Impl {
          *  the shard name its piece files under. */
         std::shared_ptr<StatsGather> gather;
         std::string shardName;
-        bool ready = false;
-        /** The response bytes once ready: a JSON line (no
-         *  terminator) or a complete binary frame. */
-        std::string line;
     };
 
     /**
@@ -127,39 +108,17 @@ struct RouterServer::Impl {
         std::size_t awaited = 0;
     };
 
-    /** One open client connection (the NetServer per-conn shape). */
-    struct Conn {
-        Connection socket;
-        WireFramer framer;
-        std::deque<std::shared_ptr<Slot>> pending;
-        std::string out;
-        std::size_t outOff = 0;
-        bool inputClosed = false;
-        bool closeAfterFlush = false;
-        bool dead = false;
-
-        Conn(Connection s, std::size_t max_line)
-            : socket(std::move(s)), framer(max_line)
-        {
-        }
-
-        bool flushed() const { return outOff >= out.size(); }
-
-        bool drained() const { return pending.empty() && flushed(); }
-    };
-
     /** One upstream shard, its persistent pipelined connection, and
      *  its death/heal lifecycle state. */
-    struct Shard {
+    struct Shard : EventLoop::Handler {
+        Impl& router;
+        const std::size_t index;  ///< Ring identity: shards[index].
         ShardEndpoint endpoint;
-        Connection socket;
-        WireFramer framer;
+        WireStream link{kMaxShardLineBytes};
         /** Requests sent (or queued to send), oldest first. The shard
          *  answers per connection in request order, so each response
          *  line fills the front slot — no correlation ids needed. */
         std::deque<std::shared_ptr<Slot>> outstanding;
-        std::string out;
-        std::size_t outOff = 0;
         std::atomic<ShardState> state{ShardState::Down};
         std::atomic<std::uint64_t> routed{0};
         std::atomic<std::uint64_t> dialAttempts{0};
@@ -175,18 +134,21 @@ struct RouterServer::Impl {
          *  to be pushed. */
         std::vector<std::string> snapshots;
 
-        Shard(ShardEndpoint e, std::size_t max_line)
-            : endpoint(std::move(e)), framer(max_line)
+        Shard(Impl& r, std::size_t i, ShardEndpoint e)
+            : router(r), index(i), endpoint(std::move(e))
         {
         }
-
-        bool flushed() const { return outOff >= out.size(); }
 
         /** The socket carries protocol traffic (vs. dialing/dead). */
         bool active() const
         {
             const ShardState s = state.load();
             return s == ShardState::Alive || s == ShardState::Warming;
+        }
+
+        void onReady(short revents) override
+        {
+            router.onShardReady(*this, revents);
         }
     };
 
@@ -195,13 +157,11 @@ struct RouterServer::Impl {
           stats(config.statsRegistry
                     ? config.statsRegistry
                     : std::make_shared<StatsRegistry>()),
+          loop(config.clock),
+          front(loop, *this, *stats, "router", config.maxConnections,
+                config.maxLineBytes, 0),
           ring(config.virtualNodes),
-          accepted(stats->counter("router.conn.accepted")),
-          closed(stats->counter("router.conn.closed")),
           forwarded(stats->counter("router.forwarded")),
-          responses(stats->counter("router.responses")),
-          protocolErrors(stats->counter("router.protocol_errors")),
-          oversized(stats->counter("router.oversized_lines")),
           shardFailures(stats->counter("router.shard_failures")),
           retried(stats->counter("router.retried")),
           deadlineExpired(stats->counter("router.deadline_expired")),
@@ -212,19 +172,12 @@ struct RouterServer::Impl {
           lastHealMs(stats->gauge("router.last_heal_ms"))
     {
         lastHealMs.set(-1.0);
-        int fds[2] = {-1, -1};
-        if (::pipe(fds) != 0)
-            fatal("RouterServer: cannot create wake pipe");
-        setNonBlocking(fds[0]);
-        setNonBlocking(fds[1]);
-        wakeRead = fds[0];
-        wakeWrite = fds[1];
         for (ShardEndpoint endpoint : config.shards) {
             if (endpoint.name.empty())
                 endpoint.name =
                     strCat(endpoint.host, ':', endpoint.port);
             shards.push_back(std::make_unique<Shard>(
-                std::move(endpoint), config.maxShardLineBytes));
+                *this, shards.size(), std::move(endpoint)));
         }
         // The shards vector is fixed from here on, and the rows read
         // only atomics — safe from any snapshotting thread.
@@ -234,14 +187,7 @@ struct RouterServer::Impl {
             });
     }
 
-    ~Impl()
-    {
-        stats->removeProvider(statsProvider);
-        if (wakeRead >= 0)
-            ::close(wakeRead);
-        if (wakeWrite >= 0)
-            ::close(wakeWrite);
-    }
+    ~Impl() { stats->removeProvider(statsProvider); }
 
     /** Per-shard health rows, contributed to every snapshot. */
     void publishShardRows(StatsRegistry::Sink& sink) const
@@ -261,26 +207,6 @@ struct RouterServer::Impl {
         }
         sink.gauge("router.shards_alive",
                    static_cast<double>(alive));
-    }
-
-    double clockMs() const
-    {
-        return config.clock ? config.clock() : monotonicMs();
-    }
-
-    /** Async-signal-safe (one non-blocking write; EAGAIN = a wake is
-     *  already pending). */
-    void wake()
-    {
-        const char byte = 1;
-        [[maybe_unused]] ssize_t n = ::write(wakeWrite, &byte, 1);
-    }
-
-    void drainWakePipe()
-    {
-        char buf[256];
-        while (::read(wakeRead, buf, sizeof(buf)) > 0) {
-        }
     }
 
     Result<bool> connectShards()
@@ -305,10 +231,10 @@ struct RouterServer::Impl {
                     ErrorCode::Unavailable,
                     strCat("shard \"", shard.endpoint.name,
                            "\" unreachable: ", conn.error().message)};
-            shard.socket = std::move(conn.value());
+            shard.link.socket = std::move(conn.value());
             // connectTo leaves the fd blocking (the client-side
-            // contract); the poll loop needs it non-blocking.
-            setNonBlocking(shard.socket.fd());
+            // contract); the event loop needs it non-blocking.
+            setNonBlocking(shard.link.socket.fd());
             shard.state.store(ShardState::Alive);
             ring.addShard(i, shard.endpoint.name);
         }
@@ -319,8 +245,8 @@ struct RouterServer::Impl {
      *  the request's wire format. */
     void finishSlot(Slot& slot, const PlanResponse& response)
     {
-        slot.line = slot.binary ? encodeResponseFrame(response)
-                                : writePlanResponse(response);
+        slot.bytes = slot.binary ? encodeResponseFrame(response)
+                                 : writePlanResponse(response);
         slot.ready = true;
     }
 
@@ -340,9 +266,7 @@ struct RouterServer::Impl {
      *  heal deadline their caller stamped. */
     void enqueueSlot(Shard& shard, const std::shared_ptr<Slot>& slot)
     {
-        shard.out += slot->requestLine;
-        if (!slot->binary)
-            shard.out += '\n';  // Binary frames self-delimit.
+        shard.link.queue(slot->requestLine, slot->binary);
         ++slot->attempts;
         // Client and stats-scrape slots get a fresh per-attempt
         // deadline (a wedged shard must not hang a scrape either);
@@ -351,7 +275,7 @@ struct RouterServer::Impl {
             slot->purpose == Slot::Purpose::StatsFetch)
             slot->deadlineAt =
                 config.requestDeadlineMs > 0.0
-                    ? clockMs() + config.requestDeadlineMs
+                    ? loop.nowMs() + config.requestDeadlineMs
                     : 0.0;
         shard.outstanding.push_back(slot);
     }
@@ -391,17 +315,13 @@ struct RouterServer::Impl {
      * survivors, and hand it to the heal machinery (respawn + backoff
      * re-dial) when that is enabled.
      */
-    void markShardDead(Shard& shard, std::size_t index,
-                       const std::string& why)
+    void markShardDead(Shard& shard, const std::string& why)
     {
         if (shard.state.load() != ShardState::Alive)
             return;
         shard.state.store(ShardState::Down);
-        shard.socket.close();
-        shard.out.clear();
-        shard.outOff = 0;
-        shard.framer = WireFramer(config.maxShardLineBytes);
-        ring.removeShard(index);
+        shard.link.reset(Connection());
+        ring.removeShard(shard.index);
         std::deque<std::shared_ptr<Slot>> orphans;
         orphans.swap(shard.outstanding);
         for (const std::shared_ptr<Slot>& slot : orphans) {
@@ -415,7 +335,7 @@ struct RouterServer::Impl {
                        shards[slot->healTarget]->healGen) {
                 // A heal probe was riding this (now dead) survivor:
                 // that heal attempt cannot complete.
-                failHeal(*shards[slot->healTarget], slot->healTarget);
+                failHeal(*shards[slot->healTarget]);
             }
         }
         if (!config.respawnCommand.empty())
@@ -425,13 +345,12 @@ struct RouterServer::Impl {
 
     /** Routes a broken-socket event by lifecycle state: an alive shard
      *  dies (failover), a dialing/warming one aborts to backoff. */
-    void shardBroken(Shard& shard, std::size_t index,
-                     const std::string& why)
+    void shardBroken(Shard& shard, const std::string& why)
     {
         if (shard.state.load() == ShardState::Alive)
-            markShardDead(shard, index, why);
+            markShardDead(shard, why);
         else
-            failHeal(shard, index);
+            failHeal(shard);
     }
 
     // ---- Heal machinery (ISSUE-7) ------------------------------------
@@ -449,28 +368,46 @@ struct RouterServer::Impl {
                 ? config.reconnectBackoffMs
                 : std::min(shard.backoffMs * 2.0,
                            config.reconnectBackoffMaxMs);
-        shard.nextDialAtMs = clockMs() + shard.backoffMs;
+        shard.nextDialAtMs = loop.nowMs() + shard.backoffMs;
         shard.state.store(ShardState::Backoff);
     }
 
     /** Aborts the in-flight heal attempt and schedules the next one
      *  (backoff doubled). Stale survivor probes are stranded by the
      *  healGen bump and dropped on arrival. */
-    void failHeal(Shard& shard, std::size_t index)
+    void failHeal(Shard& shard)
     {
-        (void)index;
         const ShardState st = shard.state.load();
         if (st != ShardState::Connecting && st != ShardState::Warming)
             return;
-        shard.socket.close();
-        shard.out.clear();
-        shard.outOff = 0;
-        shard.outstanding.clear();  // Unacked warm pushes, ours only.
+        shard.link.reset(Connection());
+        abandonHeal(shard);
+        scheduleHeal(shard, /*firstDeath=*/false);
+    }
+
+    /** Forgets the current heal attempt: its unacked warm pushes (ours
+     *  only) and, through the healGen bump, its survivor probes. */
+    void abandonHeal(Shard& shard)
+    {
+        shard.outstanding.clear();
         ++shard.healGen;
         shard.snapshots.clear();
         shard.snapshotsAwaited = 0;
         shard.pushesAwaited = 0;
-        scheduleHeal(shard, /*firstDeath=*/false);
+    }
+
+    /** Sends one heal step for @p target (a survivor snapshot fetch or a
+     *  warm push) over @p via, under the heal attempt's deadline. */
+    void sendHealProbe(Shard& via, const Shard& target,
+                       Slot::Purpose purpose, std::string line)
+    {
+        auto probe = std::make_shared<Slot>();
+        probe->purpose = purpose;
+        probe->healTarget = target.index;
+        probe->healGen = target.healGen;
+        probe->deadlineAt = target.healDeadlineMs;
+        probe->requestLine = std::move(line);
+        enqueueSlot(via, probe);
     }
 
     /** Backoff expired: begin the non-blocking re-dial. */
@@ -483,8 +420,8 @@ struct RouterServer::Impl {
             scheduleHeal(shard, /*firstDeath=*/false);
             return;
         }
-        shard.socket = std::move(conn.value());
-        shard.healDeadlineMs = clockMs() + config.healTimeoutMs;
+        shard.link.reset(std::move(conn.value()));
+        shard.healDeadlineMs = loop.nowMs() + config.healTimeoutMs;
         shard.state.store(ShardState::Connecting);
     }
 
@@ -495,43 +432,31 @@ struct RouterServer::Impl {
      * `load_snapshot`; ring re-entry waits for the acks. No survivors
      * = nothing to warm from: a cold rejoin beats no fleet.
      */
-    void beginWarm(Shard& shard, std::size_t index)
+    void beginWarm(Shard& shard)
     {
-        shard.framer = WireFramer(config.maxShardLineBytes);
-        shard.out.clear();
-        shard.outOff = 0;
-        shard.outstanding.clear();
-        ++shard.healGen;
-        shard.snapshots.clear();
-        shard.snapshotsAwaited = 0;
-        shard.pushesAwaited = 0;
+        abandonHeal(shard);
         shard.state.store(ShardState::Warming);
-        for (std::size_t j = 0; j < shards.size(); ++j) {
-            if (j == index ||
-                shards[j]->state.load() != ShardState::Alive)
+        for (const auto& survivor : shards) {
+            if (survivor.get() == &shard ||
+                survivor->state.load() != ShardState::Alive)
                 continue;
-            auto fetch = std::make_shared<Slot>();
-            fetch->purpose = Slot::Purpose::SnapshotFetch;
-            fetch->healTarget = index;
-            fetch->healGen = shard.healGen;
-            fetch->deadlineAt = shard.healDeadlineMs;
-            fetch->requestLine = "{\"query\":\"snapshot\"}";
-            enqueueSlot(*shards[j], fetch);
+            sendHealProbe(*survivor, shard, Slot::Purpose::SnapshotFetch,
+                          "{\"query\":\"snapshot\"}");
             ++shard.snapshotsAwaited;
         }
         if (shard.snapshotsAwaited == 0)
-            completeHeal(shard, index);
+            completeHeal(shard);
     }
 
     /** Warm pushes acked: the shard rejoins the ring. */
-    void completeHeal(Shard& shard, std::size_t index)
+    void completeHeal(Shard& shard)
     {
         shard.state.store(ShardState::Alive);
-        ring.addShard(index, shard.endpoint.name);
+        ring.addShard(shard.index, shard.endpoint.name);
         shard.backoffMs = 0.0;
         shard.heals.fetch_add(1);
         healed.inc();
-        lastHealMs.set(clockMs());
+        lastHealMs.set(loop.nowMs());
     }
 
     /**
@@ -568,35 +493,28 @@ struct RouterServer::Impl {
                 }
             }
             if (!ok || payload.empty()) {
-                failHeal(target, slot.healTarget);
+                failHeal(target);
                 return;
             }
             target.snapshots.push_back(std::move(payload));
             if (--target.snapshotsAwaited > 0)
                 return;
             target.pushesAwaited = target.snapshots.size();
-            for (const std::string& b64 : target.snapshots) {
-                auto push = std::make_shared<Slot>();
-                push->purpose = Slot::Purpose::WarmPush;
-                push->healTarget = slot.healTarget;
-                push->healGen = target.healGen;
-                push->deadlineAt = target.healDeadlineMs;
-                push->requestLine =
-                    strCat("{\"query\":\"load_snapshot\","
-                           "\"snapshot\":\"",
-                           b64, "\"}");
-                enqueueSlot(target, push);
-            }
+            for (const std::string& b64 : target.snapshots)
+                sendHealProbe(target, target, Slot::Purpose::WarmPush,
+                              strCat("{\"query\":\"load_snapshot\","
+                                     "\"snapshot\":\"",
+                                     b64, "\"}"));
             target.snapshots.clear();
             return;
         }
         // WarmPush ack.
         if (!ok) {
-            failHeal(target, slot.healTarget);
+            failHeal(target);
             return;
         }
         if (--target.pushesAwaited == 0)
-            completeHeal(target, slot.healTarget);
+            completeHeal(target);
     }
 
     /** fork/execs `respawnCommand --host H --port P` to replace a
@@ -770,61 +688,11 @@ struct RouterServer::Impl {
         finishSlot(slot, response);
     }
 
-    /** A ready-at-enqueue protocol-error answer in @p binary format. */
-    void answerProtocolError(Conn& conn, bool binary,
-                             const std::string& message)
+    /** Admits one decoded client request: the router's own `fleet`
+     *  and `stats` answers, or a forward to the key's ring owner. */
+    AnswerSlot onRequest(ClientConn&, PlanRequest& request,
+                         WireFramer::Frame& frame) override
     {
-        protocolErrors.inc();
-        auto slot = std::make_shared<Slot>();
-        slot->binary = binary;
-        slot->line = binary
-                         ? encodeProtocolErrorFrame("", message)
-                         : writeProtocolError("", message);
-        slot->ready = true;
-        conn.pending.push_back(std::move(slot));
-    }
-
-    void handleFrame(Conn& conn, WireFramer::Frame& frame)
-    {
-        if (frame.overflow) {
-            oversized.inc();
-            answerProtocolError(conn, false,
-                                strCat("request line exceeds ",
-                                       config.maxLineBytes,
-                                       " bytes"));
-            return;
-        }
-        PlanRequest request;
-        if (frame.binary) {
-            // Decode locally even though the shard will decode again:
-            // the canonical key IS the routing decision, and a
-            // malformed frame must be answered here (there is no
-            // shard for it).
-            Result<WireMessage> decoded =
-                decodeWirePayload(frame.payload);
-            if (!decoded.ok()) {
-                answerProtocolError(conn, true,
-                                    decoded.error().message);
-                return;
-            }
-            if (decoded.value().type != WireMsg::Request) {
-                answerProtocolError(conn, true,
-                                    "expected a request frame");
-                return;
-            }
-            request = std::move(decoded.value().request);
-        } else {
-            if (isBlank(frame.payload))
-                return;
-            Result<PlanRequest> parsed =
-                parsePlanRequest(frame.payload);
-            if (!parsed) {
-                answerProtocolError(conn, false,
-                                    parsed.error().message);
-                return;
-            }
-            request = std::move(parsed.value());
-        }
         auto slot = std::make_shared<Slot>();
         slot->binary = frame.binary;
         slot->id = request.id;
@@ -833,15 +701,13 @@ struct RouterServer::Impl {
             // Intercepted: the fleet question is about the router's
             // view. (Ask a shard's own port for per-shard counters.)
             answerFleet(*slot);
-            conn.pending.push_back(std::move(slot));
-            return;
+            return relayed(std::move(slot));
         }
         if (slot->query == QueryKind::Stats) {
             // Intercepted: scatter-gathered across the fleet instead
             // of routed to one shard (see beginStatsGather).
             beginStatsGather(slot);
-            conn.pending.push_back(std::move(slot));
-            return;
+            return relayed(std::move(slot));
         }
         slot->key = request.canonicalKey();
         // Forward byte-verbatim in the request's own format: the
@@ -849,398 +715,204 @@ struct RouterServer::Impl {
         // could only risk perturbing the bytes the golden gate diffs.
         // Re-wrapping the binary payload in its 8-byte header is
         // deterministic — identical to the bytes the client sent.
-        slot->requestLine = frame.binary
-                                ? wireFrame(frame.payload)
-                                : std::move(frame.payload);
+        slot->requestLine = frame.binary ? wireFrame(frame.payload)
+                                         : std::move(frame.payload);
         const int target = ring.shardFor(slot->key);
         if (target < 0) {
             shardFailures.inc();
-            answerError(*slot, ErrorCode::Unavailable,
-                        "no live shards");
-            conn.pending.push_back(std::move(slot));
-            return;
+            answerError(*slot, ErrorCode::Unavailable, "no live shards");
+            return relayed(std::move(slot));
         }
         Shard& shard = *shards[static_cast<std::size_t>(target)];
         enqueueSlot(shard, slot);
         shard.routed.fetch_add(1);
         forwarded.inc();
-        conn.pending.push_back(std::move(slot));
+        return relayed(std::move(slot));
     }
 
-    void readClient(Conn& conn)
+    /** The client's answer slot for @p slot: filled when it is. */
+    static AnswerSlot relayed(std::shared_ptr<Slot> slot)
     {
-        char buf[16384];
-        while (!conn.inputClosed && !conn.dead) {
-            const IoResult io = conn.socket.readSome(buf, sizeof(buf));
-            if (io.status == IoStatus::Ok) {
-                conn.framer.feed(buf, io.bytes);
-                WireFramer::Frame frame;
-                while (conn.framer.next(frame))
-                    handleFrame(conn, frame);
-                if (conn.framer.poisoned()) {
-                    // Binary framing damage kills the connection (one
-                    // final error frame first) — same containment as
-                    // the NetServer.
-                    answerProtocolError(
-                        conn, true,
-                        strCat("bad frame: ",
-                               conn.framer.poisonReason()));
-                    conn.inputClosed = true;
-                    conn.closeAfterFlush = true;
-                }
-            } else if (io.status == IoStatus::WouldBlock) {
-                break;
-            } else if (io.status == IoStatus::Eof) {
-                if (conn.framer.midBinaryFrame()) {
-                    answerProtocolError(
-                        conn, true,
-                        "bad frame: truncated frame at EOF");
-                }
-                conn.inputClosed = true;
-                conn.closeAfterFlush = true;
-            } else {
-                conn.dead = true;
+        AnswerSlot answer;
+        answer.binary = slot->binary;
+        answer.relay = std::move(slot);
+        return answer;
+    }
+
+    void onShardReady(Shard& shard, short revents)
+    {
+        if (shard.state.load() == ShardState::Connecting) {
+            if (revents & (POLLOUT | POLLERR | POLLHUP)) {
+                if (shard.link.socket.finishConnect())
+                    beginWarm(shard);
+                else
+                    failHeal(shard);
             }
+            return;
         }
+        // Another shard's failure may have ended this one's heal
+        // attempt earlier in the round; its fd is closed.
+        if (!shard.active())
+            return;
+        if (revents & (POLLERR | POLLNVAL)) {
+            shardBroken(shard, "died with the request in flight");
+            return;
+        }
+        if (revents & (POLLIN | POLLHUP))
+            readShard(shard);
+        if (shard.active() && (revents & POLLOUT))
+            flushShard(shard);
     }
 
-    void readShard(Shard& shard, std::size_t index)
+    void readShard(Shard& shard)
     {
-        char buf[16384];
-        while (shard.active()) {
-            const IoResult io =
-                shard.socket.readSome(buf, sizeof(buf));
-            if (io.status == IoStatus::Ok) {
-                shard.framer.feed(buf, io.bytes);
-                WireFramer::Frame frame;
-                while (shard.framer.next(frame)) {
-                    if (frame.overflow) {
-                        // A response we cannot frame poisons the
-                        // pipelined stream — nothing after it can be
-                        // matched to a slot.
-                        shardBroken(shard, index,
-                                    "answered an oversized line");
-                        return;
-                    }
-                    if (!frame.binary && isBlank(frame.payload))
-                        continue;
-                    if (shard.outstanding.empty()) {
-                        shardBroken(shard, index,
-                                    "sent an unsolicited response");
-                        return;
-                    }
-                    const std::shared_ptr<Slot> slot =
-                        shard.outstanding.front();
-                    shard.outstanding.pop_front();
-                    // Positional fill only works if the shard kept
-                    // the response-follows-request-format contract;
-                    // a format flip means the streams desynced.
-                    if (frame.binary != slot->binary) {
-                        shardBroken(
-                            shard, index,
-                            "answered in the wrong wire format");
-                        return;
-                    }
-                    if (slot->purpose == Slot::Purpose::Client) {
-                        slot->line =
-                            frame.binary
-                                ? wireFrame(frame.payload)
-                                : std::move(frame.payload);
-                        slot->ready = true;
-                    } else {
-                        onInternalResponse(*slot, frame.payload);
-                        if (!shard.active())
-                            return;  // This shard's heal just failed.
-                    }
-                }
-                if (shard.framer.poisoned()) {
-                    shardBroken(shard, index,
-                                strCat("answered undecodable bytes (",
-                                       shard.framer.poisonReason(),
-                                       ')'));
-                    return;
-                }
-            } else if (io.status == IoStatus::WouldBlock) {
-                return;
+        const ReadEnd end = shard.link.readFrames(
+            [this, &shard](WireFramer::Frame& frame) {
+                return onShardFrame(shard, frame);
+            });
+        if (end == ReadEnd::Poisoned)
+            shardBroken(shard,
+                        strCat("answered undecodable bytes (",
+                               shard.link.framer.poisonReason(), ')'));
+        else if (end == ReadEnd::Eof)
+            shardBroken(shard, "closed the connection");
+        else if (end == ReadEnd::Error)
+            shardBroken(shard, "died with the request in flight");
+    }
+
+    /** Fills the shard's oldest outstanding slot with one response
+     *  frame; false once the shard stopped being readable. */
+    bool onShardFrame(Shard& shard, WireFramer::Frame& frame)
+    {
+        if (frame.overflow) {
+            // A response we cannot frame poisons the pipelined stream
+            // — nothing after it can be matched to a slot.
+            shardBroken(shard, "answered an oversized line");
+            return false;
+        }
+        if (!frame.binary && isBlankLine(frame.payload))
+            return true;
+        if (shard.outstanding.empty()) {
+            shardBroken(shard, "sent an unsolicited response");
+            return false;
+        }
+        const std::shared_ptr<Slot> slot =
+            std::move(shard.outstanding.front());
+        shard.outstanding.pop_front();
+        // Positional fill only works if the shard kept the
+        // response-follows-request-format contract; a format flip
+        // means the streams desynced.
+        if (frame.binary != slot->binary) {
+            shardBroken(shard, "answered in the wrong wire format");
+            return false;
+        }
+        if (slot->purpose == Slot::Purpose::Client) {
+            slot->bytes = frame.binary ? wireFrame(frame.payload)
+                                       : std::move(frame.payload);
+            slot->ready = true;
+            return true;
+        }
+        onInternalResponse(*slot, frame.payload);
+        return shard.active();  // False: this shard's heal just failed.
+    }
+
+    void flushShard(Shard& shard)
+    {
+        if (!shard.link.flush())
+            shardBroken(shard, "died with the request in flight");
+    }
+
+    /** The shard's armed timer on the loop clock, by lifecycle state:
+     *  the front slot's answer deadline (fill order = enqueue order, so
+     *  it expires first), the backoff re-dial, or the heal deadline.
+     *  < 0 = none. */
+    double timerMs(const Shard& shard) const
+    {
+        switch (shard.state.load()) {
+        case ShardState::Alive:
+            if (!shard.outstanding.empty() &&
+                shard.outstanding.front()->deadlineAt > 0.0)
+                return shard.outstanding.front()->deadlineAt;
+            break;
+        case ShardState::Backoff:
+            return loop.stopping() ? -1.0 : shard.nextDialAtMs;
+        case ShardState::Connecting:
+        case ShardState::Warming:
+            return shard.healDeadlineMs;
+        case ShardState::Down:
+            break;
+        }
+        return -1.0;
+    }
+
+    /** Fires every due timer (see timerMs). */
+    void runTimers(double now)
+    {
+        for (const auto& shardPtr : shards) {
+            Shard& shard = *shardPtr;
+            const double at = timerMs(shard);
+            if (at < 0.0 || now < at)
+                continue;
+            if (shard.state.load() == ShardState::Alive) {
+                deadlineExpired.inc();
+                markShardDead(shard, "missed its answer deadline (wedged)");
+            } else if (shard.state.load() == ShardState::Backoff) {
+                startDial(shard);
             } else {
-                shardBroken(shard, index,
-                            io.status == IoStatus::Eof
-                                ? "closed the connection"
-                                : "died with the request in flight");
-                return;
-            }
-        }
-    }
-
-    void flushShard(Shard& shard, std::size_t index)
-    {
-        while (shard.active() && !shard.flushed()) {
-            const IoResult io = shard.socket.writeSome(
-                shard.out.data() + shard.outOff,
-                shard.out.size() - shard.outOff);
-            if (io.status == IoStatus::Ok) {
-                shard.outOff += io.bytes;
-            } else if (io.status == IoStatus::WouldBlock) {
-                return;
-            } else {
-                shardBroken(shard, index,
-                            "died with the request in flight");
-                return;
-            }
-        }
-        if (shard.flushed()) {
-            shard.out.clear();
-            shard.outOff = 0;
-        }
-    }
-
-    /** Moves ready answers (in request order) into the write buffer. */
-    void pump(Conn& conn)
-    {
-        while (!conn.pending.empty() && conn.pending.front()->ready) {
-            const Slot& slot = *conn.pending.front();
-            conn.out += slot.line;
-            if (!slot.binary)
-                conn.out += '\n';  // Binary frames self-delimit.
-            conn.pending.pop_front();
-            responses.inc();
-        }
-    }
-
-    void flush(Conn& conn)
-    {
-        while (!conn.flushed() && !conn.dead) {
-            const IoResult io =
-                conn.socket.writeSome(conn.out.data() + conn.outOff,
-                                      conn.out.size() - conn.outOff);
-            if (io.status == IoStatus::Ok) {
-                conn.outOff += io.bytes;
-            } else if (io.status == IoStatus::WouldBlock) {
-                return;
-            } else {
-                conn.dead = true;
-            }
-        }
-        if (conn.flushed()) {
-            conn.out.clear();
-            conn.outOff = 0;
-        }
-    }
-
-    void acceptPending()
-    {
-        while (conns.size() < config.maxConnections) {
-            Connection socket = listener.accept();
-            if (!socket.valid())
-                break;
-            accepted.inc();
-            conns.push_back(std::make_unique<Conn>(
-                std::move(socket), config.maxLineBytes));
-        }
-    }
-
-    /** Deadline/backoff timers, on the injectable clock. */
-    void runTimers(bool stop_seen)
-    {
-        const double now = clockMs();
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            Shard& shard = *shards[i];
-            switch (shard.state.load()) {
-            case ShardState::Alive:
-                if (!shard.outstanding.empty()) {
-                    const Slot& front = *shard.outstanding.front();
-                    // Fill order = enqueue order, so deadlines are
-                    // monotonic per shard: the front slot is always
-                    // the next to expire.
-                    if (front.deadlineAt > 0.0 &&
-                        now >= front.deadlineAt) {
-                        deadlineExpired.inc();
-                        markShardDead(
-                            shard, i,
-                            "missed its answer deadline (wedged)");
-                    }
-                }
-                break;
-            case ShardState::Backoff:
-                if (!stop_seen && now >= shard.nextDialAtMs)
-                    startDial(shard);
-                break;
-            case ShardState::Connecting:
-            case ShardState::Warming:
-                if (now >= shard.healDeadlineMs)
-                    failHeal(shard, i);
-                break;
-            case ShardState::Down:
-                break;
+                failHeal(shard);
             }
         }
         reapChildren();
     }
 
-    /** True while any deadline/backoff timer is armed — the loop then
-     *  polls with a short tick so injectable clocks get re-read (the
-     *  NetServer drain-deadline idiom). */
-    bool timersArmed() const
+    // ---- EventLoop::Driver --------------------------------------------
+
+    void onStop() override
     {
-        for (const auto& shard : shards) {
-            switch (shard->state.load()) {
-            case ShardState::Backoff:
-            case ShardState::Connecting:
-            case ShardState::Warming:
-                return true;
-            case ShardState::Alive:
-                if (!shard->outstanding.empty() &&
-                    shard->outstanding.front()->deadlineAt > 0.0)
-                    return true;
-                break;
-            case ShardState::Down:
-                break;
-            }
-        }
-        return false;
+        // Graceful drain, the NetServer contract: no new clients, no
+        // new input, but every forwarded request still answers (or
+        // fails typed) and flushes.
+        front.beginDrain();
     }
 
-    void loop()
+    bool prepare() override
     {
-        std::vector<pollfd> fds;
-        std::vector<Conn*> polledConns;
-        std::vector<std::size_t> polledShards;
-        bool stop_seen = false;
-        while (true) {
-            if (stopRequested.load() && !stop_seen) {
-                stop_seen = true;
-                // Graceful drain, the NetServer contract: no new
-                // clients, no new input, but every forwarded request
-                // still answers (or fails typed) and flushes.
-                listener.close();
-                for (auto& conn : conns) {
-                    conn->inputClosed = true;
-                    conn->closeAfterFlush = true;
-                }
-            }
-
-            for (auto it = conns.begin(); it != conns.end();) {
-                Conn& conn = **it;
-                const bool done =
-                    conn.dead ||
-                    (conn.closeAfterFlush && conn.drained());
-                if (done) {
-                    closed.inc();
-                    it = conns.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            if (stop_seen && conns.empty())
-                break;
-
-            fds.clear();
-            polledConns.clear();
-            polledShards.clear();
-            fds.push_back({wakeRead, POLLIN, 0});
-            const bool accepting = !stop_seen && listener.valid() &&
-                                   conns.size() < config.maxConnections;
-            if (accepting)
-                fds.push_back({listener.fd(), POLLIN, 0});
-            for (auto& conn : conns) {
-                short events = 0;
-                if (!conn->inputClosed)
-                    events |= POLLIN;
-                if (!conn->flushed())
-                    events |= POLLOUT;
-                fds.push_back({conn->socket.fd(), events, 0});
-                polledConns.push_back(conn.get());
-            }
-            for (std::size_t i = 0; i < shards.size(); ++i) {
-                Shard& shard = *shards[i];
-                const ShardState st = shard.state.load();
-                short events = 0;
-                if (st == ShardState::Alive ||
-                    st == ShardState::Warming) {
-                    // Always POLLIN: shard death must surface even
-                    // while nothing is outstanding.
-                    events = POLLIN;
-                    if (!shard.flushed())
-                        events |= POLLOUT;
-                } else if (st == ShardState::Connecting) {
-                    events = POLLOUT;
-                } else {
-                    continue;  // Backoff/Down: no socket to watch.
-                }
-                fds.push_back({shard.socket.fd(), events, 0});
-                polledShards.push_back(i);
-            }
-
-            const int rc =
-                ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                       timersArmed() ? 10 : -1);
-            if (rc < 0 && errno != EINTR)
-                fatal("RouterServer: poll() failed");
-
-            std::size_t index = 0;
-            if (fds[index].revents & POLLIN)
-                drainWakePipe();
-            ++index;
-            if (accepting) {
-                if (fds[index].revents & POLLIN)
-                    acceptPending();
-                ++index;
-            }
-            for (std::size_t c = 0; c < polledConns.size();
-                 ++c, ++index) {
-                Conn& conn = *polledConns[c];
-                const short revents = fds[index].revents;
-                if (revents & (POLLERR | POLLNVAL))
-                    conn.dead = true;
-                if (!conn.dead && (revents & (POLLIN | POLLHUP)))
-                    readClient(conn);
-            }
-            for (std::size_t s = 0; s < polledShards.size();
-                 ++s, ++index) {
-                const std::size_t i = polledShards[s];
-                Shard& shard = *shards[i];
-                const short revents = fds[index].revents;
-                if (shard.state.load() == ShardState::Connecting) {
-                    if (revents & (POLLOUT | POLLERR | POLLHUP)) {
-                        Result<bool> up = shard.socket.finishConnect();
-                        if (!up)
-                            failHeal(shard, i);
-                        else
-                            beginWarm(shard, i);
-                    }
-                    continue;
-                }
-                if (revents & (POLLERR | POLLNVAL)) {
-                    shardBroken(shard, i,
-                                "died with the request in flight");
-                    continue;
-                }
-                if (revents & (POLLIN | POLLHUP))
-                    readShard(shard, i);
-                if (shard.active() && (revents & POLLOUT))
-                    flushShard(shard, i);
-            }
-
-            runTimers(stop_seen);
-
-            // New work may have been queued onto shards this round
-            // (client requests, failover replays, heal probes); try
-            // the write now instead of waiting a poll cycle.
-            for (std::size_t i = 0; i < shards.size(); ++i)
-                if (shards[i]->active() && !shards[i]->flushed())
-                    flushShard(*shards[i], i);
-
-            for (auto& conn : conns) {
-                if (conn->dead)
-                    continue;
-                pump(*conn);
-                flush(*conn);
-            }
+        if (!front.prepare())
+            return false;
+        for (const auto& shardPtr : shards) {
+            Shard& shard = *shardPtr;
+            if (shard.state.load() == ShardState::Connecting)
+                loop.watch(shard.link.socket.fd(), POLLOUT, shard);
+            else if (shard.active())
+                // Always POLLIN: shard death must surface even while
+                // nothing is outstanding.
+                loop.watch(shard.link.socket.fd(),
+                           shard.link.flushed() ? POLLIN : POLLIN | POLLOUT,
+                           shard);
+            if (const double at = timerMs(shard); at >= 0.0)
+                loop.arm(at);
         }
-        listener.close();
+        return true;
+    }
+
+    void afterEvents() override
+    {
+        const double now = loop.nowMs();
+        runTimers(now);
+        // New work may have been queued onto shards this round (client
+        // requests, failover replays, heal probes); try the write now
+        // instead of waiting a poll cycle.
+        for (const auto& shard : shards)
+            if (shard->active() && !shard->link.flushed())
+                flushShard(*shard);
+        front.pumpAll(now);
+    }
+
+    void onExit() override
+    {
         for (auto& shard : shards) {
             shard->state.store(ShardState::Down);
-            shard->socket.close();
+            shard->link.socket.close();
         }
         // The supervisor owns its respawned workers: take them along.
         for (pid_t pid : children)
@@ -1256,25 +928,20 @@ struct RouterServer::Impl {
     /** The registry behind every counter below (+ provider rows);
      *  shared with the daemon when RouterConfig supplied one. */
     std::shared_ptr<StatsRegistry> stats;
-    TcpListener listener;
+    EventLoop loop;
+    /** The client side: listener, connections, and the
+     *  `router.conn.*`/`responses`/`protocol_errors`/`oversized_lines`/
+     *  `wire.poisoned` cells. */
+    ClientFront front;
     HashRing ring;
-    int wakeRead = -1;
-    int wakeWrite = -1;
-    std::atomic<bool> stopRequested{false};
-    std::vector<std::unique_ptr<Conn>> conns;
     std::vector<std::unique_ptr<Shard>> shards;
     std::vector<pid_t> children;  ///< Respawned workers (loop-owned).
     std::size_t statsProvider = 0;
 
     // Registry-backed cells (ISSUE-8). Same increment sites as the
     // pre-registry atomics, so every pinned BENCH counter keeps its
-    // exact value; RouterStats is now a view over these.
-    StatsCounter& accepted;
-    StatsCounter& closed;
+    // exact value; RouterStats is now a view over these and `front`'s.
     StatsCounter& forwarded;
-    StatsCounter& responses;
-    StatsCounter& protocolErrors;
-    StatsCounter& oversized;
     StatsCounter& shardFailures;
     StatsCounter& retried;
     StatsCounter& deadlineExpired;
@@ -1298,18 +965,13 @@ RouterServer::~RouterServer()
 Result<bool>
 RouterServer::bindListener()
 {
-    Result<TcpListener> listener =
-        TcpListener::bind(impl_->config.host, impl_->config.port);
-    if (!listener)
-        return listener.error();
-    impl_->listener = std::move(listener.value());
-    return true;
+    return impl_->front.bind(impl_->config.host, impl_->config.port);
 }
 
 std::uint16_t
 RouterServer::port() const
 {
-    return impl_->listener.port();
+    return impl_->front.port();
 }
 
 Result<bool>
@@ -1321,8 +983,7 @@ RouterServer::connectShards()
 void
 RouterServer::run()
 {
-    impl_->loop();
-    loop_done_.store(true);
+    impl_->loop.run(*impl_);
 }
 
 Result<bool>
@@ -1334,23 +995,26 @@ RouterServer::start()
     Result<bool> shards = connectShards();
     if (!shards)
         return shards;
-    loop_thread_ = std::thread([this] { run(); });
+    impl_->loop.start(*impl_);
     return true;
 }
 
 void
 RouterServer::requestStop()
 {
-    impl_->stopRequested.store(true);
-    impl_->wake();
+    impl_->loop.requestStop();
 }
 
 void
 RouterServer::stop()
 {
-    requestStop();
-    if (loop_thread_.joinable())
-        loop_thread_.join();
+    impl_->loop.stop();
+}
+
+bool
+RouterServer::stopped() const
+{
+    return impl_->loop.stopped();
 }
 
 const std::shared_ptr<StatsRegistry>&
@@ -1362,15 +1026,16 @@ RouterServer::statsRegistry() const
 RouterStats
 RouterServer::stats() const
 {
+    const ClientFront& front = impl_->front;
     RouterStats out;
-    out.connectionsAccepted = impl_->accepted.load();
-    out.connectionsClosed = impl_->closed.load();
+    out.connectionsAccepted = front.accepted.load();
+    out.connectionsClosed = front.closed.load();
     out.connectionsOpen =
         out.connectionsAccepted - out.connectionsClosed;
     out.forwarded = impl_->forwarded.load();
-    out.responses = impl_->responses.load();
-    out.protocolErrors = impl_->protocolErrors.load();
-    out.oversizedLines = impl_->oversized.load();
+    out.responses = front.responses.load();
+    out.protocolErrors = front.protocolErrors.load();
+    out.oversizedLines = front.oversized.load();
     out.shardFailures = impl_->shardFailures.load();
     out.retried = impl_->retried.load();
     out.deadlineExpired = impl_->deadlineExpired.load();

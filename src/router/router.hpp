@@ -15,22 +15,23 @@
  * distinct-config-many steps — the single-service thundering-herd
  * guarantee, preserved across processes (the fleet bench pins it).
  *
- * Topology and data flow, one poll(2) loop for everything:
+ * Topology and data flow:
  *
  *     clients --> RouterServer --> shard 0 (ftsim_served)
  *                     |----------> shard 1
  *                     `----------> shard N-1
  *
- *  - One persistent pipelined connection per shard, opened at start.
- *  - Each forwarded request pushes a shared answer *slot* onto both
- *    its client connection's pending queue and its shard connection's
- *    outstanding queue. Shards answer per connection in request order
- *    (the NetServer re-sequencing contract), so each shard response
- *    line fills that shard's oldest outstanding slot — no id matching
- *    needed, and the router never reparses responses.
- *  - Client write-back happens in per-connection request order, exactly
- *    like the shards themselves re-sequence: ready slots drain from the
- *    front of the pending queue only.
+ *  - Clients are served by the same `ClientFront`/`ClientConn` types
+ *    as NetServer (net/client_conn.hpp): framing, decode errors, and
+ *    per-connection request-order write-back live there. Everything
+ *    here runs as handlers on one `EventLoop` (net/event_loop.hpp).
+ *  - One persistent pipelined connection per shard, opened at start,
+ *    on the same `WireStream` read/flush halves.
+ *  - Each forwarded request shares one answer *slot* between its
+ *    client connection's pending queue and its shard's outstanding
+ *    queue. Shards answer per connection in request order, so each
+ *    shard response fills that shard's oldest outstanding slot — no id
+ *    matching needed, and the router never reparses responses.
  *
  * Requests the router answers itself:
  *  - lines that fail to parse (typed protocol error, connection lives);
@@ -79,12 +80,10 @@
  * (`down` is terminal when healing is disabled.)
  */
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.hpp"
@@ -113,9 +112,6 @@ struct RouterConfig {
     std::size_t maxConnections = 64;
     /** Frame cap on client request lines, bytes. */
     std::size_t maxLineBytes = 1 << 20;
-    /** Frame cap on shard *response* lines — reports and snapshots
-     *  are far larger than any request. */
-    std::size_t maxShardLineBytes = 1 << 26;
     /** Ring points per shard (see router/hash_ring.hpp). */
     std::size_t virtualNodes = 64;
     /** Extra forwarding attempts per request after its shard dies;
@@ -252,7 +248,7 @@ class RouterServer {
     void stop();
 
     /** True once run() has returned. */
-    bool stopped() const { return loop_done_.load(); }
+    bool stopped() const;
 
     /** The router's stats registry (`router.*` cells + per-shard
      *  provider rows). Shared from RouterConfig::statsRegistry when
@@ -262,10 +258,8 @@ class RouterServer {
     RouterStats stats() const;
 
   private:
-    struct Impl;  ///< Poll loop internals.
+    struct Impl;  ///< Loop driver (connections and shards live here).
     std::unique_ptr<Impl> impl_;
-    std::thread loop_thread_;
-    std::atomic<bool> loop_done_{false};
 };
 
 }  // namespace ftsim

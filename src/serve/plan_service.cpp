@@ -1,26 +1,14 @@
 #include "serve/plan_service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
+#include "common/clock.hpp"
 #include "common/logging.hpp"
 #include "gpusim/gpu_spec.hpp"
 #include "gpusim/registry_snapshot.hpp"
 
 namespace ftsim {
-
-namespace {
-
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-}  // namespace
 
 PlanService::PlanService(ServiceConfig config)
     : config_(std::move(config)),
@@ -66,7 +54,7 @@ PlanService::~PlanService()
 double
 PlanService::clockMs() const
 {
-    return config_.clock ? config_.clock() : nowMs();
+    return config_.clock ? config_.clock() : monotonicMs();
 }
 
 void

@@ -119,18 +119,31 @@ TEST(FaultProxy, TransparentModeForwardsByteExact)
     Result<NetClient> client =
         NetClient::connectTo("127.0.0.1", proxy.port());
     ASSERT_TRUE(client.ok());
+    std::uint64_t sent = 0;
     for (int i = 0; i < 50; ++i) {
         const std::string line = strCat("line-", i, "-", std::string(
             static_cast<std::size_t>(1 + i * 7), 'x'));
         Result<std::string> back = client.value().ask(line);
         ASSERT_TRUE(back.ok()) << back.error().message;
         EXPECT_EQ(back.value(), line);
+        sent += line.size() + 1;  // The '\n' is forwarded too.
     }
 
-    const FaultProxyStats stats = proxy.stats();
+    // The proxy counts a write after it returns, so the client can
+    // read the last echo before the server-to-client counter moves:
+    // wait (bounded) for both directions to reach the exact total.
+    FaultProxyStats stats = proxy.stats();
+    for (int spin = 0; spin < 1000 &&
+                       (stats.bytesClientToServer != sent ||
+                        stats.bytesServerToClient != sent);
+         ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        stats = proxy.stats();
+    }
     EXPECT_EQ(stats.connectionsAccepted, 1u);
     EXPECT_EQ(stats.faultsInjected, 0u);
-    EXPECT_EQ(stats.bytesClientToServer, stats.bytesServerToClient);
+    EXPECT_EQ(stats.bytesClientToServer, sent);
+    EXPECT_EQ(stats.bytesServerToClient, sent);
     proxy.stop();
 }
 

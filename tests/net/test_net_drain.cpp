@@ -28,6 +28,7 @@
 #include "common/logging.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "serve/protocol.hpp"
 
 namespace ftsim {
@@ -92,13 +93,20 @@ TEST(NetDrain, DeadlineForceClosesAStalledPeer)
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     server.requestStop();
+    // The drain clock starts when the loop notices the stop, which it
+    // signals by closing its listener: wait for a fresh connect to be
+    // refused before moving virtual time, or a slow loop would stamp
+    // the drain start at the moved time and never cross the deadline.
+    const std::uint16_t port = server.port();
+    ASSERT_TRUE(eventually(
+        [port] { return !Connection::connectTo("127.0.0.1", port).ok(); }));
     // Virtual time never moved, so the deadline has not passed; the
     // server must still be draining, not dropping the connection.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     EXPECT_FALSE(server.stopped());
     EXPECT_EQ(server.stats().forcedClosed, 0u);
 
-    // Cross the deadline. The 20ms stop-phase poll tick notices.
+    // Cross the deadline. The loop's short deadline tick notices.
     now->store(501.0);
     ASSERT_TRUE(eventually([&server] { return server.stopped(); }));
     EXPECT_GE(server.stats().forcedClosed, 1u);
