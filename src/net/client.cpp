@@ -105,39 +105,16 @@ NetClient::sendBytes(const std::string& bytes)
 Result<std::string>
 NetClient::recvLine()
 {
-    const double deadline = monotonicMs() + timeout_ms_;
-    while (true) {
-        const std::size_t newline = buffer_.find('\n');
-        if (newline != std::string::npos) {
-            std::string line = buffer_.substr(0, newline);
-            buffer_.erase(0, newline + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            return line;
-        }
-        if (timeout_ms_ > 0.0) {
-            // A wedged peer must yield a typed error, not an infinite
-            // block: wait for readability within the deadline before
-            // touching the (possibly blocking) fd.
-            Result<bool> ready = waitReady(POLLIN, deadline);
-            if (!ready)
-                return ready.error();
-        }
-        char chunk[4096];
-        const IoResult io = connection_.readSome(chunk, sizeof(chunk));
-        if (io.status == IoStatus::Ok) {
-            buffer_.append(chunk, io.bytes);
-        } else if (io.status == IoStatus::WouldBlock) {
-            continue;  // Blocking fd: only transient EINTR lands here.
-        } else if (io.status == IoStatus::Eof) {
-            return Error{ErrorCode::InvalidArgument,
-                         "connection closed before a full response "
-                         "line arrived"};
-        } else {
-            return Error{ErrorCode::InvalidArgument,
-                         "socket error while reading"};
-        }
-    }
+    Result<WireFramer::Frame> frame = recvFrame();
+    if (!frame)
+        return frame.error();
+    if (frame.value().binary)
+        return Error{ErrorCode::InvalidArgument,
+                     "expected a response line, got a binary frame"};
+    if (frame.value().overflow)
+        return Error{ErrorCode::InvalidArgument,
+                     "response line exceeds the frame cap"};
+    return std::move(frame.value().payload);
 }
 
 Result<WireFramer::Frame>

@@ -52,9 +52,10 @@ class NetClient {
 
     /**
      * Blocks until one full response line arrives and returns it
-     * without the terminator. `InvalidArgument` on EOF or a socket
-     * error — for a pipelined exchange EOF mid-read means the server
-     * dropped the connection.
+     * without the terminator: recvFrame, narrowed to JSON lines.
+     * `InvalidArgument` on EOF, a socket error, or a binary frame —
+     * for a pipelined exchange EOF mid-read means the server dropped
+     * the connection.
      */
     Result<std::string> recvLine();
 
@@ -69,11 +70,11 @@ class NetClient {
     /**
      * Blocks until one full response frame arrives — binary (payload
      * is the frame payload, header stripped) or JSON (payload is the
-     * line sans '\n'), per the frame's own first byte. Use *either*
-     * recvLine or recvFrame on a connection, not both: each maintains
-     * its own reassembly buffer. `InvalidArgument` on EOF (naming
-     * mid-frame truncation when the server died inside a frame) or a
-     * damaged binary header.
+     * line sans '\n'), per the frame's own first byte. recvLine reads
+     * through the same reassembly buffer, so the two mix freely on one
+     * connection. `InvalidArgument` on EOF (naming mid-frame
+     * truncation when the server died inside a frame) or a damaged
+     * binary header.
      */
     Result<WireFramer::Frame> recvFrame();
 
@@ -90,10 +91,9 @@ class NetClient {
     Result<bool> waitReady(short events, double deadlineMs);
 
     Connection connection_;
-    std::string buffer_;  ///< Bytes read past the last returned line.
-    /** recvFrame's reassembly state (recvLine uses buffer_). The cap
-     *  matches the router's shard-side cap: snapshot frames are the
-     *  biggest legitimate payloads on the wire. */
+    /** Reassembly state for recvFrame and recvLine. The cap matches the
+     *  router's shard-side cap: snapshot frames are the biggest
+     *  legitimate payloads on the wire. */
     WireFramer framer_{1 << 26};
     double timeout_ms_ = 0.0;
 };

@@ -1,25 +1,20 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
 #include "common/base64.hpp"
 #include "common/logging.hpp"
+#include "serve/schema.hpp"
 
 namespace ftsim {
 
 namespace {
 
-/** Internal parse failure; surfaces as InvalidArgument at the API. */
-struct ParseErr {
-    std::string msg;
-};
-
-[[noreturn]] void
-bad(std::string msg)
-{
-    throw ParseErr{std::move(msg)};
-}
+using schema::fail;
+using schema::Req;
+using schema::Resp;
 
 // ---- Minimal JSON document model -------------------------------------
 
@@ -33,28 +28,18 @@ struct JsonValue {
     /** Insertion-ordered; duplicate keys are a parse error. */
     std::vector<std::pair<std::string, JsonValue>> object;
 
-    const JsonValue* find(const std::string& key) const
+    JsonValue* find(std::string_view key)
     {
-        for (const auto& [k, v] : object)
+        for (auto& [k, v] : object)
             if (k == key)
                 return &v;
         return nullptr;
     }
 };
 
-const char*
-typeName(JsonValue::Type t)
-{
-    switch (t) {
-    case JsonValue::Type::Null: return "null";
-    case JsonValue::Type::Bool: return "bool";
-    case JsonValue::Type::Number: return "number";
-    case JsonValue::Type::String: return "string";
-    case JsonValue::Type::Array: return "array";
-    case JsonValue::Type::Object: return "object";
-    }
-    return "?";
-}
+/** Indexed by JsonValue::Type. */
+constexpr const char* kTypeNames[] = {"null",   "bool",  "number",
+                                      "string", "array", "object"};
 
 // ---- Recursive-descent parser ----------------------------------------
 
@@ -67,7 +52,7 @@ class JsonParser {
         JsonValue v = parseValue();
         skipWs();
         if (pos_ != s_.size())
-            bad(strCat("trailing characters at offset ", pos_));
+            fail(strCat("trailing characters at offset ", pos_));
         return v;
     }
 
@@ -83,25 +68,22 @@ class JsonParser {
     char peek()
     {
         if (pos_ >= s_.size())
-            bad("unexpected end of input");
+            fail("unexpected end of input");
         return s_[pos_];
     }
 
     void expect(char c)
     {
         if (pos_ >= s_.size() || s_[pos_] != c)
-            bad(strCat("expected '", c, "' at offset ", pos_));
+            fail(strCat("expected '", c, "' at offset ", pos_));
         ++pos_;
     }
 
-    bool consumeLiteral(const char* lit)
+    bool consumeLiteral(std::string_view lit)
     {
-        std::size_t n = 0;
-        while (lit[n] != '\0')
-            ++n;
-        if (s_.compare(pos_, n, lit) != 0)
+        if (s_.compare(pos_, lit.size(), lit) != 0)
             return false;
-        pos_ += n;
+        pos_ += lit.size();
         return true;
     }
 
@@ -113,7 +95,7 @@ class JsonParser {
             // Containers recurse; a hostile line of 100k brackets must
             // be a parse error, not a stack overflow (fuzz-pinned).
             if (depth_ >= kMaxDepth)
-                bad(strCat("nesting deeper than ", kMaxDepth));
+                fail(strCat("nesting deeper than ", kMaxDepth));
             ++depth_;
             JsonValue v = c == '{' ? parseObject() : parseArray();
             --depth_;
@@ -155,7 +137,7 @@ class JsonParser {
             skipWs();
             std::string key = parseString();
             if (v.find(key) != nullptr)
-                bad(strCat("duplicate key \"", key, '"'));
+                fail(strCat("duplicate key \"", key, '"'));
             skipWs();
             expect(':');
             v.object.emplace_back(std::move(key), parseValue());
@@ -197,18 +179,18 @@ class JsonParser {
         std::string out;
         for (;;) {
             if (pos_ >= s_.size())
-                bad("unterminated string");
+                fail("unterminated string");
             const char c = s_[pos_++];
             if (c == '"')
                 return out;
             if (static_cast<unsigned char>(c) < 0x20)
-                bad("raw control character in string");
+                fail("raw control character in string");
             if (c != '\\') {
                 out += c;
                 continue;
             }
             if (pos_ >= s_.size())
-                bad("unterminated escape");
+                fail("unterminated escape");
             const char e = s_[pos_++];
             switch (e) {
             case '"': out += '"'; break;
@@ -220,7 +202,7 @@ class JsonParser {
             case 'r': out += '\r'; break;
             case 't': out += '\t'; break;
             case 'u': out += parseUnicodeEscape(); break;
-            default: bad(strCat("bad escape '\\", e, "'"));
+            default: fail(strCat("bad escape '\\", e, "'"));
             }
         }
     }
@@ -229,7 +211,7 @@ class JsonParser {
     unsigned parseHex4()
     {
         if (pos_ + 4 > s_.size())
-            bad("truncated \\u escape");
+            fail("truncated \\u escape");
         unsigned code = 0;
         for (int i = 0; i < 4; ++i) {
             const char h = s_[pos_++];
@@ -241,7 +223,7 @@ class JsonParser {
             else if (h >= 'A' && h <= 'F')
                 code |= static_cast<unsigned>(h - 'A' + 10);
             else
-                bad("non-hex digit in \\u escape");
+                fail("non-hex digit in \\u escape");
         }
         return code;
     }
@@ -259,15 +241,15 @@ class JsonParser {
     {
         unsigned code = parseHex4();
         if (code >= 0xDC00 && code <= 0xDFFF)
-            bad("lone low surrogate in \\u escape");
+            fail("lone low surrogate in \\u escape");
         if (code >= 0xD800 && code <= 0xDBFF) {
             if (pos_ + 2 > s_.size() || s_[pos_] != '\\' ||
                 s_[pos_ + 1] != 'u')
-                bad("unpaired high surrogate in \\u escape");
+                fail("unpaired high surrogate in \\u escape");
             pos_ += 2;
             const unsigned low = parseHex4();
             if (low < 0xDC00 || low > 0xDFFF)
-                bad("unpaired high surrogate in \\u escape");
+                fail("unpaired high surrogate in \\u escape");
             code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
         }
         std::string out;
@@ -295,7 +277,7 @@ class JsonParser {
         //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
         // Enforced here rather than deferred to strtod, which also
         // accepts "+5", ".5", "5.", "01", hex, and "inf"/"nan" —
-        // spellings fmtNumber never emits and strict JSON rejects.
+        // spellings the writer never emits and strict JSON rejects.
         const std::size_t start = pos_;
         const auto isDigit = [this](std::size_t p) {
             return p < s_.size() && s_[p] >= '0' && s_[p] <= '9';
@@ -303,13 +285,13 @@ class JsonParser {
         if (peek() == '-')
             ++pos_;
         if (!isDigit(pos_))
-            bad(strCat("unexpected character '",
+            fail(strCat("unexpected character '",
                        pos_ < s_.size() ? s_[pos_] : s_[start],
                        "' at offset ", start));
         if (s_[pos_] == '0') {
             ++pos_;
             if (isDigit(pos_))
-                bad(strCat("leading zero in number at offset ", start));
+                fail(strCat("leading zero in number at offset ", start));
         } else {
             while (isDigit(pos_))
                 ++pos_;
@@ -317,7 +299,7 @@ class JsonParser {
         if (pos_ < s_.size() && s_[pos_] == '.') {
             ++pos_;
             if (!isDigit(pos_))
-                bad(strCat("digit required after decimal point at "
+                fail(strCat("digit required after decimal point at "
                            "offset ",
                            start));
             while (isDigit(pos_))
@@ -329,7 +311,7 @@ class JsonParser {
                 (s_[pos_] == '+' || s_[pos_] == '-'))
                 ++pos_;
             if (!isDigit(pos_))
-                bad(strCat("digit required in exponent at offset ",
+                fail(strCat("digit required in exponent at offset ",
                            start));
             while (isDigit(pos_))
                 ++pos_;
@@ -338,7 +320,7 @@ class JsonParser {
         char* end = nullptr;
         const double num = std::strtod(text.c_str(), &end);
         if (end != text.c_str() + text.size() || !std::isfinite(num))
-            bad(strCat("bad number \"", text, '"'));
+            fail(strCat("bad number \"", text, '"'));
         JsonValue v;
         v.type = JsonValue::Type::Number;
         v.number = num;
@@ -355,50 +337,43 @@ class JsonParser {
 
 // ---- Field extraction helpers ----------------------------------------
 
-const JsonValue&
-require(const JsonValue& obj, const char* key, JsonValue::Type type)
+/** @p value, checked to be a @p type (@p key names it in the error). */
+JsonValue&
+typed(JsonValue& value, JsonValue::Type type, const char* key)
 {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr)
-        bad(strCat("missing required key \"", key, '"'));
-    if (v->type != type)
-        bad(strCat('"', key, "\" must be a ", typeName(type), ", got ",
-                   typeName(v->type)));
-    return *v;
+    if (value.type != type)
+        fail(strCat('"', key, "\" must be a ",
+                    kTypeNames[static_cast<int>(type)], ", got ",
+                    kTypeNames[static_cast<int>(value.type)]));
+    return value;
 }
 
-const JsonValue*
-optional(const JsonValue& obj, const char* key, JsonValue::Type type)
+/** The member @p key of @p obj, or nullptr when absent. */
+JsonValue*
+optional(JsonValue& obj, const char* key, JsonValue::Type type)
 {
-    const JsonValue* v = obj.find(key);
-    if (v != nullptr && v->type != type)
-        bad(strCat('"', key, "\" must be a ", typeName(type), ", got ",
-                   typeName(v->type)));
-    return v;
+    JsonValue* v = obj.find(key);
+    return v == nullptr ? nullptr : &typed(*v, type, key);
 }
 
-void
-rejectUnknownKeys(const JsonValue& obj,
-                  const std::vector<std::string>& known,
-                  const char* where)
-{
-    for (const auto& [key, value] : obj.object) {
-        bool found = false;
-        for (const std::string& k : known)
-            if (k == key)
-                found = true;
-        if (!found)
-            bad(strCat("unknown key \"", key, "\" in ", where));
-    }
-}
+/** The scenario's plain number keys, in writing order. */
+constexpr std::pair<const char*, double Scenario::*> kScenarioNumbers[] = {
+    {"length_sigma", &Scenario::lengthSigma},
+    {"num_queries", &Scenario::numQueries},
+    {"epochs", &Scenario::epochs},
+};
 
+/** JSON syntax only: the value rules live in serve/schema. */
 Scenario
-parseScenario(const JsonValue& obj)
+parseScenario(JsonValue& obj)
 {
-    rejectUnknownKeys(obj,
-                      {"preset", "model", "median_seq_len",
-                       "length_sigma", "num_queries", "epochs", "sparse"},
-                      "scenario");
+    static constexpr std::string_view kKeys[] = {
+        "preset",      "model",  "median_seq_len", "length_sigma",
+        "num_queries", "epochs", "sparse"};
+    for (const auto& [key, value] : obj.object)
+        if (std::find(std::begin(kKeys), std::end(kKeys), key) ==
+            std::end(kKeys))
+            fail(strCat("unknown key \"", key, "\" in scenario"));
 
     Scenario scenario = Scenario::gsMath();
     if (const JsonValue* preset =
@@ -410,61 +385,38 @@ parseScenario(const JsonValue& obj)
         else if (preset->string == "open_orca")
             scenario = Scenario::openOrca();
         else
-            bad(strCat("unknown scenario preset \"", preset->string,
-                       '"'));
+            fail(strCat("unknown scenario preset \"", preset->string,
+                        '"'));
     }
     if (const JsonValue* model =
             optional(obj, "model", JsonValue::Type::String)) {
-        if (model->string == "mixtral8x7b")
-            scenario.withModel(ModelSpec::mixtral8x7b());
-        else if (model->string == "blackmamba2p8b")
-            scenario.withModel(ModelSpec::blackMamba2p8b());
-        else
-            bad(strCat("unknown model \"", model->string, '"'));
+        const schema::ModelRow* row = schema::modelByName(model->string);
+        if (row == nullptr)
+            fail(strCat("unknown model \"", model->string, '"'));
+        scenario.withModel(row->make());
     }
     if (const JsonValue* seq =
-            optional(obj, "median_seq_len", JsonValue::Type::Number)) {
-        if (seq->number < 1.0 ||
-            seq->number != std::floor(seq->number))
-            bad("\"median_seq_len\" must be a positive integer");
-        scenario.withMedianSeqLen(
-            static_cast<std::size_t>(seq->number));
-    }
-    if (const JsonValue* sigma =
-            optional(obj, "length_sigma", JsonValue::Type::Number))
-        scenario.withLengthSigma(sigma->number);
-    if (const JsonValue* queries =
-            optional(obj, "num_queries", JsonValue::Type::Number))
-        scenario.withNumQueries(queries->number);
-    if (const JsonValue* epochs =
-            optional(obj, "epochs", JsonValue::Type::Number))
-        scenario.withEpochs(epochs->number);
+            optional(obj, "median_seq_len", JsonValue::Type::Number))
+        scenario.withMedianSeqLen(schema::seqLen(seq->number));
+    for (const auto& [key, field] : kScenarioNumbers)
+        if (const JsonValue* v = optional(obj, key, JsonValue::Type::Number))
+            scenario.*field = v->number;
     if (const JsonValue* sparse =
             optional(obj, "sparse", JsonValue::Type::Bool))
         scenario.withSparse(sparse->boolean);
-
-    Result<Scenario> valid = scenario.validated();
-    if (!valid)
-        bad(valid.error().message);
     return scenario;
 }
 
 // ---- Writer helpers --------------------------------------------------
+// Doubles on the wire must round-trip exactly — a re-serialized request
+// has to keep its canonical (coalescing) identity — so numbers use
+// strExact, the same %.17g spelling the cache keys use.
 
-/** Doubles on the wire must round-trip exactly — a re-serialized
- *  request has to keep its canonical (coalescing) identity — so this
- *  is the same %.17g spelling the cache keys use. */
-std::string
-fmtNumber(double x)
+/** Appends @p s as a JSON string literal. */
+void
+putQuoted(std::string& out, std::string_view s)
 {
-    return strExact(x);
-}
-
-std::string
-escapeJson(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
+    out += '"';
     for (char c : s) {
         switch (c) {
         case '"': out += "\\\""; break;
@@ -483,32 +435,101 @@ escapeJson(const std::string& s)
             }
         }
     }
+    out += '"';
+}
+
+/** Appends `"key":`, after a comma unless it opens the object. */
+void
+putKey(std::string& out, const char* key)
+{
+    if (out.size() > 1)
+        out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
+}
+
+void
+putScenario(std::string& out, const Scenario& scenario)
+{
+    // Explicit scalars (no preset needed: they fully determine it).
+    out += '{';
+    if (const schema::ModelRow* model = schema::modelOf(scenario.model)) {
+        out += "\"model\":";
+        putQuoted(out, model->name);
+        out += ',';
+    }
+    out += strCat("\"median_seq_len\":", scenario.medianSeqLen);
+    for (const auto& [key, field] : kScenarioNumbers)
+        out += strCat(",\"", key, "\":", strExact(scenario.*field));
+    out += scenario.sparse ? ",\"sparse\":true}" : ",\"sparse\":false}";
+}
+
+/** One JSON object of @p response's @p fields. */
+std::string
+writeResponse(const PlanResponse& response, schema::FieldSet fields)
+{
+    std::string out = "{";
+    for (std::size_t i = 0; i < std::size(schema::kResponseFields); ++i) {
+        if (!(fields >> i & 1))
+            continue;
+        putKey(out, schema::kResponseFields[i].json);
+        switch (static_cast<Resp>(i)) {
+        case Resp::Id: putQuoted(out, response.id); break;
+        case Resp::Query:
+            putQuoted(out, queryKindName(response.query));
+            break;
+        case Resp::Ok: out += response.ok ? "true" : "false"; break;
+        case Resp::Error: putQuoted(out, response.errorCode); break;
+        case Resp::Message: putQuoted(out, response.errorMessage); break;
+        case Resp::Value:
+            out += strExact(schema::answerValue(response));
+            break;
+        case Resp::Rows:
+            out += '[';
+            for (const CostRow& row : response.rows) {
+                if (out.back() != '[')
+                    out += ',';
+                out += "{\"gpu\":";
+                putQuoted(out, row.gpuName);
+                out += strCat(",\"mem_gb\":", strExact(row.memGB),
+                              ",\"max_batch\":", row.maxBatchSize,
+                              ",\"qps\":", strExact(row.throughputQps),
+                              ",\"usd_per_hour\":",
+                              strExact(row.dollarsPerHour),
+                              ",\"total_usd\":",
+                              strExact(row.totalDollars), '}');
+            }
+            out += ']';
+            break;
+        case Resp::Report: putQuoted(out, response.report); break;
+        case Resp::Snapshot:
+            putQuoted(out, base64Encode(response.snapshot));
+            break;
+        case Resp::Stats:
+            // Pre-serialized JSON, embedded verbatim so shard payloads
+            // forward byte-identically.
+            out += response.statsJson.empty() ? "{}" : response.statsJson;
+            break;
+        }
+    }
+    out += '}';
     return out;
 }
 
-std::string
-quoted(const std::string& s)
+/**
+ * Appends a length-prefixed element to a key: wire names are arbitrary,
+ * so a bare join would let "A40,H100" (one name) collide with
+ * ["A40","H100"] (two) and coalesce distinct requests onto one cached
+ * answer. Keys are appended, not strCat'ed: every request on the
+ * serving path builds one, and stream setup would cost more.
+ */
+void
+putKeyElem(std::string& key, const std::string& s)
 {
-    return strCat('"', escapeJson(s), '"');
-}
-
-/** Protocol spelling of a preset model; empty for foreign specs. */
-std::string
-modelWireName(const ModelSpec& model)
-{
-    if (model.fingerprint() == ModelSpec::mixtral8x7b().fingerprint())
-        return "mixtral8x7b";
-    if (model.fingerprint() ==
-        ModelSpec::blackMamba2p8b().fingerprint())
-        return "blackmamba2p8b";
-    return "";
-}
-
-bool
-isPerGpuKind(QueryKind kind)
-{
-    return kind == QueryKind::MaxBatch ||
-           kind == QueryKind::Throughput || kind == QueryKind::Report;
+    key += std::to_string(s.size());
+    key += ':';
+    key += s;
 }
 
 }  // namespace
@@ -516,75 +537,52 @@ isPerGpuKind(QueryKind kind)
 bool
 isLiveKind(QueryKind kind)
 {
-    return kind == QueryKind::Snapshot || kind == QueryKind::Fleet ||
-           kind == QueryKind::LoadSnapshot || kind == QueryKind::Stats;
+    return schema::kindSpec(kind).shape == schema::KindClass::Live;
 }
 
 const char*
 queryKindName(QueryKind kind)
 {
-    switch (kind) {
-    case QueryKind::MaxBatch: return "max_batch";
-    case QueryKind::Throughput: return "throughput";
-    case QueryKind::CostTable: return "cost_table";
-    case QueryKind::CheapestPlan: return "cheapest_plan";
-    case QueryKind::Report: return "report";
-    case QueryKind::Snapshot: return "snapshot";
-    case QueryKind::Fleet: return "fleet";
-    case QueryKind::LoadSnapshot: return "load_snapshot";
-    case QueryKind::Stats: return "stats";
-    }
-    return "?";
+    return schema::kindSpec(kind).name;
 }
 
 Result<QueryKind>
 parseQueryKind(const std::string& name)
 {
-    for (QueryKind kind :
-         {QueryKind::MaxBatch, QueryKind::Throughput,
-          QueryKind::CostTable, QueryKind::CheapestPlan,
-          QueryKind::Report, QueryKind::Snapshot, QueryKind::Fleet,
-          QueryKind::LoadSnapshot, QueryKind::Stats})
-        if (name == queryKindName(kind))
-            return kind;
+    for (std::size_t i = 0; i < std::size(schema::kKinds); ++i)
+        if (name == schema::kKinds[i].name)
+            return static_cast<QueryKind>(i);
     return Error{ErrorCode::InvalidArgument,
                  strCat("unknown query kind \"", name, '"')};
 }
 
-namespace {
-
-/**
- * Length-prefixed element for key strings: wire names are arbitrary,
- * so a bare join would let "A40,H100" (one name) collide with
- * ["A40","H100"] (two) and coalesce distinct requests onto one
- * cached answer. The prefix makes the framing unambiguous.
- */
-std::string
-keyElem(const std::string& s)
-{
-    return strCat(s.size(), ':', s);
-}
-
-}  // namespace
-
 std::string
 PlanRequest::canonicalKey() const
 {
-    std::string key = strCat(queryKindName(query),
-                             "|gpu=", keyElem(gpu), "|gpus=");
-    for (const std::string& g : gpus)
-        key += strCat(keyElem(g), ',');
-    key += strCat('|', plannerKey());
+    std::string key = queryKindName(query);
+    key += "|gpu=";
+    putKeyElem(key, gpu);
+    key += "|gpus=";
+    for (const std::string& g : gpus) {
+        putKeyElem(key, g);
+        key += ',';
+    }
+    key += '|';
+    key += plannerKey();
     return key;
 }
 
 std::string
 PlanRequest::plannerKey() const
 {
-    std::string key = strCat(scenario.canonicalKey(), "|rates=");
-    for (const CloudOffering& rate : rates)
-        key += strCat(keyElem(rate.gpuName), '@',
-                      strExact(rate.dollarsPerHour), ';');
+    std::string key = scenario.canonicalKey();
+    key += "|rates=";
+    for (const CloudOffering& rate : rates) {
+        putKeyElem(key, rate.gpuName);
+        key += '@';
+        key += strExact(rate.dollarsPerHour);
+        key += ';';
+    }
     return key;
 }
 
@@ -593,100 +591,66 @@ parsePlanRequest(const std::string& line)
 {
     try {
         JsonParser parser(line);
-        const JsonValue doc = parser.parseDocument();
+        JsonValue doc = parser.parseDocument();
         if (doc.type != JsonValue::Type::Object)
-            bad("request must be a JSON object");
-        rejectUnknownKeys(doc,
-                          {"id", "tenant", "query", "gpu", "gpus",
-                           "scenario", "rates", "snapshot"},
-                          "request");
-
+            fail("request must be a JSON object");
         PlanRequest req;
-        if (const JsonValue* id =
-                optional(doc, "id", JsonValue::Type::String))
-            req.id = id->string;
-
-        if (const JsonValue* tenant =
-                optional(doc, "tenant", JsonValue::Type::String)) {
-            // Empty would silently mean "untenanted" (quota-exempt);
-            // make the caller say what they meant.
-            if (tenant->string.empty())
-                bad("\"tenant\" must not be empty (omit it instead)");
-            req.tenant = tenant->string;
-        }
-
-        const JsonValue& query =
-            require(doc, "query", JsonValue::Type::String);
-        Result<QueryKind> kind = parseQueryKind(query.string);
-        if (!kind)
-            bad(kind.error().message);
-        req.query = kind.value();
-
-        if (isLiveKind(req.query)) {
-            // Live queries are about the service, not a workload: any
-            // of the workload-shaped keys on one is a confused caller.
-            for (const char* key :
-                 {"tenant", "gpu", "gpus", "scenario", "rates"})
-                if (doc.find(key) != nullptr)
-                    bad(strCat('"', key,
-                               "\" is not valid for query \"",
-                               query.string, '"'));
-        }
-
-        if (req.query == QueryKind::LoadSnapshot) {
-            const JsonValue& payload =
-                require(doc, "snapshot", JsonValue::Type::String);
-            Result<std::string> raw = base64Decode(payload.string);
-            if (!raw)
-                bad(raw.error().message);
-            req.snapshot = std::move(raw.value());
-        } else if (doc.find("snapshot") != nullptr) {
-            bad(strCat("\"snapshot\" is not valid for query \"",
-                       query.string, '"'));
-        }
-
-        if (const JsonValue* gpu =
-                optional(doc, "gpu", JsonValue::Type::String)) {
-            if (!isPerGpuKind(req.query))
-                bad(strCat("\"gpu\" is not valid for query \"",
-                           query.string, "\"; use \"gpus\""));
-            if (gpu->string.empty())
-                bad("\"gpu\" must not be empty");
-            req.gpu = gpu->string;
-        } else if (isPerGpuKind(req.query)) {
-            bad(strCat("query \"", query.string,
-                       "\" requires a \"gpu\""));
-        }
-
-        if (const JsonValue* gpus =
-                optional(doc, "gpus", JsonValue::Type::Array)) {
-            if (isPerGpuKind(req.query))
-                bad(strCat("\"gpus\" is not valid for query \"",
-                           query.string, "\"; use \"gpu\""));
-            for (const JsonValue& g : gpus->array) {
-                if (g.type != JsonValue::Type::String ||
-                    g.string.empty())
-                    bad("\"gpus\" entries must be non-empty strings");
-                req.gpus.push_back(g.string);
+        schema::FieldSet present = 0;
+        for (auto& [key, value] : doc.object) {
+            std::size_t row = 0;
+            while (row < std::size(schema::kRequestFields) &&
+                   key != schema::kRequestFields[row].json)
+                ++row;
+            if (row == std::size(schema::kRequestFields))
+                fail(strCat("unknown key \"", key, "\" in request"));
+            present |= schema::FieldSet{1} << row;
+            const char* name = schema::kRequestFields[row].json;
+            auto string = [&]() -> std::string {
+                return std::move(
+                    typed(value, JsonValue::Type::String, name).string);
+            };
+            switch (static_cast<Req>(row)) {
+            case Req::Id: req.id = string(); break;
+            case Req::Tenant: req.tenant = string(); break;
+            case Req::Query: {
+                Result<QueryKind> kind = parseQueryKind(string());
+                if (!kind)
+                    fail(kind.error().message);
+                req.query = kind.value();
+                break;
+            }
+            case Req::Gpu: req.gpu = string(); break;
+            case Req::Gpus:
+                for (JsonValue& gpu :
+                     typed(value, JsonValue::Type::Array, name).array)
+                    req.gpus.push_back(std::move(
+                        typed(gpu, JsonValue::Type::String, "gpus[]")
+                            .string));
+                break;
+            case Req::Scenario:
+                req.scenario = parseScenario(
+                    typed(value, JsonValue::Type::Object, name));
+                break;
+            case Req::Rates:
+                for (auto& [gpu, rate] :
+                     typed(value, JsonValue::Type::Object, name).object)
+                    req.rates.push_back(
+                        {"user", gpu,
+                         typed(rate, JsonValue::Type::Number, "rates{}")
+                             .number});
+                break;
+            case Req::Snapshot: {
+                Result<std::string> raw = base64Decode(string());
+                if (!raw)
+                    fail(raw.error().message);
+                req.snapshot = std::move(raw.value());
+                break;
+            }
             }
         }
-
-        if (const JsonValue* scenario =
-                optional(doc, "scenario", JsonValue::Type::Object))
-            req.scenario = parseScenario(*scenario);
-
-        if (const JsonValue* rates =
-                optional(doc, "rates", JsonValue::Type::Object)) {
-            for (const auto& [name, rate] : rates->object) {
-                if (rate.type != JsonValue::Type::Number ||
-                    rate.number <= 0.0)
-                    bad(strCat("rate for \"", name,
-                               "\" must be a positive number"));
-                req.rates.push_back({"user", name, rate.number});
-            }
-        }
+        schema::validateRequest(req, present);
         return req;
-    } catch (const ParseErr& err) {
+    } catch (const schema::CodecError& err) {
         return Error{ErrorCode::InvalidArgument,
                      strCat("bad request: ", err.msg)};
     }
@@ -695,134 +659,62 @@ parsePlanRequest(const std::string& line)
 std::string
 writePlanRequest(const PlanRequest& request)
 {
+    const schema::FieldSet fields = schema::requestFields(request);
     std::string out = "{";
-    if (!request.id.empty())
-        out += strCat("\"id\":", quoted(request.id), ',');
-    if (!request.tenant.empty())
-        out += strCat("\"tenant\":", quoted(request.tenant), ',');
-    out += strCat("\"query\":", quoted(queryKindName(request.query)));
-    if (!request.gpu.empty())
-        out += strCat(",\"gpu\":", quoted(request.gpu));
-    if (!request.gpus.empty()) {
-        out += ",\"gpus\":[";
-        for (std::size_t i = 0; i < request.gpus.size(); ++i)
-            out += strCat(i ? "," : "", quoted(request.gpus[i]));
-        out += "]";
+    for (std::size_t i = 0; i < std::size(schema::kRequestFields); ++i) {
+        if (!(fields >> i & 1))
+            continue;
+        putKey(out, schema::kRequestFields[i].json);
+        switch (static_cast<Req>(i)) {
+        case Req::Id: putQuoted(out, request.id); break;
+        case Req::Tenant: putQuoted(out, request.tenant); break;
+        case Req::Query: putQuoted(out, queryKindName(request.query)); break;
+        case Req::Gpu: putQuoted(out, request.gpu); break;
+        case Req::Gpus:
+            out += '[';
+            for (const std::string& gpu : request.gpus) {
+                if (out.back() != '[')
+                    out += ',';
+                putQuoted(out, gpu);
+            }
+            out += ']';
+            break;
+        case Req::Scenario: putScenario(out, request.scenario); break;
+        case Req::Rates:
+            out += '{';
+            for (const CloudOffering& rate : request.rates) {
+                if (out.back() != '{')
+                    out += ',';
+                putQuoted(out, rate.gpuName);
+                out += ':';
+                out += strExact(rate.dollarsPerHour);
+            }
+            out += '}';
+            break;
+        case Req::Snapshot:
+            putQuoted(out, base64Encode(request.snapshot));
+            break;
+        }
     }
-    // Live kinds carry no workload fields; writing the default scenario
-    // anyway would produce a line the (strict) parser rejects.
-    if (isLiveKind(request.query)) {
-        if (request.query == QueryKind::LoadSnapshot)
-            out += strCat(",\"snapshot\":",
-                          quoted(base64Encode(request.snapshot)));
-        out += "}";
-        return out;
-    }
-    // The scenario serializes as explicit scalars (no preset needed:
-    // the scalars fully determine it). Only preset models have a wire
-    // spelling; a foreign ModelSpec cannot round-trip and is omitted.
-    out += ",\"scenario\":{";
-    const std::string model = modelWireName(request.scenario.model);
-    if (!model.empty())
-        out += strCat("\"model\":", quoted(model), ',');
-    out += strCat(
-        "\"median_seq_len\":", request.scenario.medianSeqLen,
-        ",\"length_sigma\":", fmtNumber(request.scenario.lengthSigma),
-        ",\"num_queries\":", fmtNumber(request.scenario.numQueries),
-        ",\"epochs\":", fmtNumber(request.scenario.epochs),
-        ",\"sparse\":", request.scenario.sparse ? "true" : "false",
-        "}");
-    if (!request.rates.empty()) {
-        out += ",\"rates\":{";
-        for (std::size_t i = 0; i < request.rates.size(); ++i)
-            out += strCat(i ? "," : "", quoted(request.rates[i].gpuName),
-                          ':', fmtNumber(request.rates[i].dollarsPerHour));
-        out += "}";
-    }
-    out += "}";
+    out += '}';
     return out;
 }
 
 std::string
 writePlanResponse(const PlanResponse& response)
 {
-    std::string out = "{";
-    if (!response.id.empty())
-        out += strCat("\"id\":", quoted(response.id), ',');
-    out += strCat("\"query\":", quoted(queryKindName(response.query)),
-                  ",\"ok\":", response.ok ? "true" : "false");
-    if (!response.ok) {
-        out += strCat(",\"error\":", quoted(response.errorCode),
-                      ",\"message\":", quoted(response.errorMessage),
-                      "}");
-        return out;
-    }
-    switch (response.query) {
-    case QueryKind::MaxBatch:
-    case QueryKind::Throughput:
-        out += strCat(",\"value\":", fmtNumber(response.value));
-        break;
-    case QueryKind::CostTable:
-    case QueryKind::CheapestPlan: {
-        out += ",\"rows\":[";
-        for (std::size_t i = 0; i < response.rows.size(); ++i) {
-            const CostRow& row = response.rows[i];
-            out += strCat(
-                i ? "," : "", "{\"gpu\":", quoted(row.gpuName),
-                ",\"mem_gb\":", fmtNumber(row.memGB),
-                ",\"max_batch\":", row.maxBatchSize,
-                ",\"qps\":", fmtNumber(row.throughputQps),
-                ",\"usd_per_hour\":", fmtNumber(row.dollarsPerHour),
-                ",\"total_usd\":", fmtNumber(row.totalDollars), "}");
-        }
-        out += "]";
-        break;
-    }
-    case QueryKind::Report:
-        out += strCat(",\"report\":", quoted(response.report));
-        break;
-    case QueryKind::Snapshot:
-        // value = raw byte count, so a client can sanity-check the
-        // decode without understanding the payload.
-        out += strCat(",\"value\":", fmtNumber(
-                          static_cast<double>(response.snapshot.size())),
-                      ",\"snapshot\":",
-                      quoted(base64Encode(response.snapshot)));
-        break;
-    case QueryKind::Fleet:
-    case QueryKind::LoadSnapshot:
-        // fleet: value = steps simulated (the thundering-herd counter
-        // the fleet bench asserts over the wire); load_snapshot: value
-        // = plans adopted from the payload. report = status text.
-        out += strCat(",\"value\":", fmtNumber(response.value),
-                      ",\"report\":", quoted(response.report));
-        break;
-    case QueryKind::Stats:
-        // value = entry count; statsJson is already a serialized JSON
-        // object (StatsSnapshot::toJson() or the router aggregate) and
-        // embeds verbatim so shard payloads forward byte-identically.
-        out += strCat(",\"value\":", fmtNumber(response.value),
-                      ",\"stats\":",
-                      response.statsJson.empty() ? "{}"
-                                                 : response.statsJson);
-        break;
-    }
-    out += "}";
-    return out;
+    return writeResponse(response, schema::responseFields(response, false));
 }
 
 std::string
 writeProtocolError(const std::string& id, const std::string& message)
 {
-    // No "query" field: the line never parsed, so echoing the default
-    // kind would mislead clients that dispatch on it.
-    std::string out = "{";
-    if (!id.empty())
-        out += strCat("\"id\":", quoted(id), ',');
-    out += strCat("\"ok\":false,\"error\":\"",
-                  errorCodeName(ErrorCode::InvalidArgument),
-                  "\",\"message\":", quoted(message), "}");
-    return out;
+    PlanResponse response;
+    response.id = id;
+    response.errorCode = errorCodeName(ErrorCode::InvalidArgument);
+    response.errorMessage = message;
+    return writeResponse(response,
+                         schema::protocolErrorFields(!id.empty(), false));
 }
 
 PlanResponse

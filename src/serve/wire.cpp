@@ -5,57 +5,15 @@
 #include <limits>
 
 #include "common/logging.hpp"
+#include "serve/schema.hpp"
 
 namespace ftsim {
 
 namespace {
 
-/** Internal decode failure; surfaces as InvalidArgument at the API. */
-struct WireErr {
-    std::string msg;
-};
-
-[[noreturn]] void
-bad(std::string msg)
-{
-    throw WireErr{std::move(msg)};
-}
-
-// ---- Field tags ------------------------------------------------------
-// Shared between requests and responses where the meaning lines up
-// (id, snapshot); encoded in strictly ascending order, decoded with
-// the same rule, so a duplicate or shuffled tag is a typed error.
-
-enum ReqTag : unsigned char {
-    kReqQuery = 1,     ///< u8 QueryKind (required).
-    kReqId = 2,        ///< str.
-    kReqTenant = 3,    ///< str, non-empty.
-    kReqGpu = 4,       ///< str, non-empty.
-    kReqGpus = 5,      ///< u32 count + count x str.
-    kReqScenario = 6,  ///< fixed scenario block (see encode).
-    kReqRates = 7,     ///< u32 count + count x (str, f64).
-    kReqSnapshot = 8,  ///< str, raw bytes (no base64 on this wire).
-};
-
-enum RespTag : unsigned char {
-    kRespQuery = 1,     ///< u8 QueryKind (required).
-    kRespId = 2,        ///< str.
-    kRespOk = 3,        ///< u8 bool (required).
-    kRespErrorCode = 4, ///< str.
-    kRespErrorMsg = 5,  ///< str (also the ProtocolError message tag).
-    kRespValue = 6,     ///< f64.
-    kRespRows = 7,      ///< u32 count + count x CostRow block.
-    kRespReport = 8,    ///< str.
-    kRespSnapshot = 9,  ///< str, raw bytes.
-    kRespStats = 10,    ///< str, pre-serialized stats JSON.
-};
-
-/** Scenario model ids (0 = absent: the preset default, Mixtral). */
-enum WireModel : unsigned char {
-    kModelDefault = 0,
-    kModelMixtral8x7b = 1,
-    kModelBlackMamba2p8b = 2,
-};
+using schema::fail;
+using schema::Req;
+using schema::Resp;
 
 // ---- Little-endian primitive writers ---------------------------------
 
@@ -65,17 +23,12 @@ putU8(std::string& out, unsigned char v)
     out.push_back(static_cast<char>(v));
 }
 
+/** Appends @p v little-endian, in exactly sizeof(T) bytes. */
+template <typename T>
 void
-putU32(std::string& out, std::uint32_t v)
+putUint(std::string& out, T v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-putU64(std::string& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
+    for (std::size_t i = 0; i < sizeof v; ++i)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
 }
 
@@ -88,7 +41,7 @@ putF64(std::string& out, double v)
     std::uint64_t bits = 0;
     static_assert(sizeof bits == sizeof v);
     std::memcpy(&bits, &v, sizeof bits);
-    putU64(out, bits);
+    putUint(out, bits);
 }
 
 void
@@ -96,7 +49,7 @@ putStr(std::string& out, std::string_view s)
 {
     if (s.size() > std::numeric_limits<std::uint32_t>::max())
         fatal("wire: string exceeds the u32 length prefix");
-    putU32(out, static_cast<std::uint32_t>(s.size()));
+    putUint(out, static_cast<std::uint32_t>(s.size()));
     out.append(s.data(), s.size());
 }
 
@@ -114,37 +67,26 @@ class WireReader {
         return static_cast<unsigned char>(s_[pos_++]);
     }
 
-    std::uint32_t u32(const char* what)
+    /** A little-endian T of exactly sizeof(T) bytes. */
+    template <typename T>
+    T uint(const char* what)
     {
-        need(4, what);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(s_[pos_ + i]))
+        need(sizeof(T), what);
+        T v = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(static_cast<unsigned char>(s_[pos_ + i]))
                  << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t u64(const char* what)
-    {
-        need(8, what);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(s_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 8;
+        pos_ += sizeof(T);
         return v;
     }
 
     double f64(const char* what)
     {
-        const std::uint64_t bits = u64(what);
+        const std::uint64_t bits = uint<std::uint64_t>(what);
         double v = 0.0;
         std::memcpy(&v, &bits, sizeof v);
         if (!std::isfinite(v))
-            bad(strCat("non-finite number in ", what));
+            fail(strCat("non-finite number in ", what));
         return v;
     }
 
@@ -152,13 +94,13 @@ class WireReader {
     {
         const unsigned char v = u8(what);
         if (v > 1)
-            bad(strCat("bad boolean in ", what));
+            fail(strCat("bad boolean in ", what));
         return v == 1;
     }
 
     std::string str(const char* what)
     {
-        const std::uint32_t len = u32(what);
+        const std::uint32_t len = uint<std::uint32_t>(what);
         need(len, what);
         std::string out(s_.substr(pos_, len));
         pos_ += len;
@@ -169,64 +111,59 @@ class WireReader {
     void need(std::size_t n, const char* what)
     {
         if (pos_ + n > s_.size())
-            bad(strCat("truncated payload in ", what));
+            fail(strCat("truncated payload in ", what));
     }
 
     std::string_view s_;
     std::size_t pos_ = 0;
 };
 
-bool
-isPerGpuKind(QueryKind kind)
+// ---- Tagged fields ---------------------------------------------------
+// Strictly ascending tags both ways: a duplicate or shuffled tag is a
+// typed error, and every message has one encoding.
+
+/** Calls @p read per field row to the payload's end; returns the set
+ *  read. @p accept: the fields the message type may carry. */
+template <std::size_t N, typename Read>
+schema::FieldSet
+readFields(WireReader& in, const std::array<std::uint8_t, N>& byTag,
+           schema::FieldSet accept, Read&& read)
 {
-    return kind == QueryKind::MaxBatch ||
-           kind == QueryKind::Throughput || kind == QueryKind::Report;
+    schema::FieldSet present = 0;
+    unsigned lastTag = 0;
+    while (!in.done()) {
+        const unsigned tag = in.u8("field tag");
+        if (tag <= lastTag)
+            fail(strCat("duplicate or out-of-order tag ", tag));
+        if (tag >= N || !(accept >> byTag[tag] & 1))
+            fail(strCat("unknown tag ", tag));
+        lastTag = tag;
+        read(byTag[tag]);
+        present |= schema::FieldSet{1} << byTag[tag];
+    }
+    return present;
 }
 
 QueryKind
 readQueryKind(WireReader& in)
 {
+    // The kind byte is its row in the schema's kind table.
     const unsigned char raw = in.u8("query kind");
-    switch (raw) {
-    case 0: return QueryKind::MaxBatch;
-    case 1: return QueryKind::Throughput;
-    case 2: return QueryKind::CostTable;
-    case 3: return QueryKind::CheapestPlan;
-    case 4: return QueryKind::Report;
-    case 5: return QueryKind::Snapshot;
-    case 6: return QueryKind::Fleet;
-    case 7: return QueryKind::LoadSnapshot;
-    case 8: return QueryKind::Stats;
-    default: bad(strCat("unknown query kind byte ", unsigned{raw}));
-    }
-}
-
-unsigned char
-queryKindByte(QueryKind kind)
-{
-    return static_cast<unsigned char>(kind);
+    if (raw >= std::size(schema::kKinds))
+        fail(strCat("unknown query kind byte ", unsigned{raw}));
+    return static_cast<QueryKind>(raw);
 }
 
 // ---- Scenario block --------------------------------------------------
 
-unsigned char
-modelWireId(const ModelSpec& model)
-{
-    if (model.fingerprint() == ModelSpec::mixtral8x7b().fingerprint())
-        return kModelMixtral8x7b;
-    if (model.fingerprint() ==
-        ModelSpec::blackMamba2p8b().fingerprint())
-        return kModelBlackMamba2p8b;
-    // A foreign spec has no wire spelling (same as the JSON writer,
-    // which omits "model"): the decoder keeps the preset default.
-    return kModelDefault;
-}
-
 void
 putScenario(std::string& out, const Scenario& scenario)
 {
-    putU8(out, modelWireId(scenario.model));
-    putU64(out, static_cast<std::uint64_t>(scenario.medianSeqLen));
+    // A foreign model has no wire id: 0 keeps the preset default.
+    const schema::ModelRow* model = schema::modelOf(scenario.model);
+    putU8(out, static_cast<unsigned char>(
+                   model != nullptr ? model - schema::kModels + 1 : 0));
+    putUint(out, static_cast<std::uint64_t>(scenario.medianSeqLen));
     putF64(out, scenario.lengthSigma);
     putF64(out, scenario.numQueries);
     putF64(out, scenario.epochs);
@@ -236,205 +173,145 @@ putScenario(std::string& out, const Scenario& scenario)
 Scenario
 readScenario(WireReader& in)
 {
-    // Like parseScenario: scalars apply on top of the protocol default
-    // (GS/MATH), and the result must pass the same domain validation.
+    // Like JSON: scalars apply on top of the protocol default (GS/MATH).
     Scenario scenario = Scenario::gsMath();
-    const unsigned char model = in.u8("scenario model");
-    switch (model) {
-    case kModelDefault: break;
-    case kModelMixtral8x7b:
-        scenario.withModel(ModelSpec::mixtral8x7b());
-        break;
-    case kModelBlackMamba2p8b:
-        scenario.withModel(ModelSpec::blackMamba2p8b());
-        break;
-    default: bad(strCat("unknown model id ", unsigned{model}));
-    }
-    const std::uint64_t seq = in.u64("scenario median_seq_len");
-    if (seq < 1)
-        bad("\"median_seq_len\" must be a positive integer");
-    scenario.withMedianSeqLen(static_cast<std::size_t>(seq));
+    const unsigned char id = in.u8("scenario model");
+    if (id > std::size(schema::kModels))
+        fail(strCat("unknown model id ", unsigned{id}));
+    if (id != 0)
+        scenario.withModel(schema::kModels[id - 1].make());
+    const auto seq = in.uint<std::uint64_t>("scenario median_seq_len");
+    scenario.withMedianSeqLen(schema::seqLen(static_cast<double>(seq)));
     scenario.withLengthSigma(in.f64("scenario length_sigma"));
     scenario.withNumQueries(in.f64("scenario num_queries"));
     scenario.withEpochs(in.f64("scenario epochs"));
     scenario.withSparse(in.boolean("scenario sparse"));
-    Result<Scenario> valid = scenario.validated();
-    if (!valid)
-        bad(valid.error().message);
     return scenario;
 }
 
-// ---- Request decode --------------------------------------------------
+// ---- Messages --------------------------------------------------------
 
 PlanRequest
 readRequest(WireReader& in)
 {
     PlanRequest req;
-    bool sawQuery = false, sawGpu = false, sawGpus = false;
-    bool sawTenant = false, sawScenario = false, sawRates = false;
-    bool sawSnapshot = false;
-    int lastTag = 0;
-    while (!in.done()) {
-        const unsigned char tag = in.u8("field tag");
-        if (tag <= lastTag)
-            bad(strCat("duplicate or out-of-order tag ",
-                       unsigned{tag}));
-        lastTag = tag;
-        switch (tag) {
-        case kReqQuery:
-            req.query = readQueryKind(in);
-            sawQuery = true;
-            break;
-        case kReqId: req.id = in.str("id"); break;
-        case kReqTenant:
-            req.tenant = in.str("tenant");
-            if (req.tenant.empty())
-                bad("\"tenant\" must not be empty (omit it instead)");
-            sawTenant = true;
-            break;
-        case kReqGpu:
-            req.gpu = in.str("gpu");
-            if (req.gpu.empty())
-                bad("\"gpu\" must not be empty");
-            sawGpu = true;
-            break;
-        case kReqGpus: {
-            const std::uint32_t count = in.u32("gpus count");
-            for (std::uint32_t i = 0; i < count; ++i) {
-                std::string gpu = in.str("gpus entry");
-                if (gpu.empty())
-                    bad("\"gpus\" entries must be non-empty strings");
-                req.gpus.push_back(std::move(gpu));
+    const schema::FieldSet present = readFields(
+        in, schema::kRequestByTag, ~schema::FieldSet{0},
+        [&](std::uint8_t row) {
+            switch (static_cast<Req>(row)) {
+            case Req::Query: req.query = readQueryKind(in); break;
+            case Req::Id: req.id = in.str("id"); break;
+            case Req::Tenant: req.tenant = in.str("tenant"); break;
+            case Req::Gpu: req.gpu = in.str("gpu"); break;
+            case Req::Gpus: {
+                const auto count = in.uint<std::uint32_t>("gpus count");
+                for (std::uint32_t i = 0; i < count; ++i)
+                    req.gpus.push_back(in.str("gpus entry"));
+                break;
             }
-            sawGpus = true;
-            break;
-        }
-        case kReqScenario:
-            req.scenario = readScenario(in);
-            sawScenario = true;
-            break;
-        case kReqRates: {
-            const std::uint32_t count = in.u32("rates count");
-            for (std::uint32_t i = 0; i < count; ++i) {
-                std::string name = in.str("rate gpu name");
-                const double rate = in.f64("rate value");
-                if (rate <= 0.0)
-                    bad(strCat("rate for \"", name,
-                               "\" must be a positive number"));
-                req.rates.push_back({"user", std::move(name), rate});
+            case Req::Scenario: req.scenario = readScenario(in); break;
+            case Req::Rates: {
+                const auto count = in.uint<std::uint32_t>("rates count");
+                for (std::uint32_t i = 0; i < count; ++i) {
+                    std::string name = in.str("rate gpu name");
+                    const double rate = in.f64("rate value");
+                    req.rates.push_back({"user", std::move(name), rate});
+                }
+                break;
             }
-            sawRates = true;
-            break;
-        }
-        case kReqSnapshot:
-            req.snapshot = in.str("snapshot");
-            sawSnapshot = true;
-            break;
-        default: bad(strCat("unknown request tag ", unsigned{tag}));
-        }
-    }
-    // The tag before query decoded under the default kind — the kind
-    // byte must come first (tag 1 sorts lowest), so enforce presence
-    // *and* that kind-dependent checks run against the real kind.
-    if (!sawQuery)
-        bad("missing required query field");
-    const char* kindName = queryKindName(req.query);
-    if (isLiveKind(req.query)) {
-        // Live queries are about the service, not a workload: any of
-        // the workload-shaped fields on one is a confused caller.
-        if (sawTenant || sawGpu || sawGpus || sawScenario || sawRates)
-            bad(strCat("workload fields are not valid for query \"",
-                       kindName, '"'));
-    }
-    if (req.query == QueryKind::LoadSnapshot) {
-        if (!sawSnapshot)
-            bad("query \"load_snapshot\" requires a snapshot");
-    } else if (sawSnapshot) {
-        bad(strCat("\"snapshot\" is not valid for query \"", kindName,
-                   '"'));
-    }
-    if (isPerGpuKind(req.query)) {
-        if (!sawGpu)
-            bad(strCat("query \"", kindName, "\" requires a \"gpu\""));
-        if (sawGpus)
-            bad(strCat("\"gpus\" is not valid for query \"", kindName,
-                       "\"; use \"gpu\""));
-    } else if (sawGpu) {
-        bad(strCat("\"gpu\" is not valid for query \"", kindName,
-                   "\"; use \"gpus\""));
-    }
+            case Req::Snapshot: req.snapshot = in.str("snapshot"); break;
+            }
+        });
+    schema::validateRequest(req, present);
     return req;
 }
 
-// ---- Response decode -------------------------------------------------
-
+/** A response, or a protocol error narrowed by @p accept/@p required. */
 PlanResponse
-readResponse(WireReader& in)
+readResponse(WireReader& in, schema::FieldSet accept,
+             schema::FieldSet required)
 {
     PlanResponse resp;
-    bool sawQuery = false, sawOk = false;
-    int lastTag = 0;
-    while (!in.done()) {
-        const unsigned char tag = in.u8("field tag");
-        if (tag <= lastTag)
-            bad(strCat("duplicate or out-of-order tag ",
-                       unsigned{tag}));
-        lastTag = tag;
-        switch (tag) {
-        case kRespQuery:
-            resp.query = readQueryKind(in);
-            sawQuery = true;
+    const schema::FieldSet present = readFields(
+        in, schema::kResponseByTag, accept, [&](std::uint8_t row) {
+            switch (static_cast<Resp>(row)) {
+            case Resp::Query: resp.query = readQueryKind(in); break;
+            case Resp::Id: resp.id = in.str("id"); break;
+            case Resp::Ok: resp.ok = in.boolean("ok"); break;
+            case Resp::Error: resp.errorCode = in.str("error code"); break;
+            case Resp::Message:
+                resp.errorMessage = in.str("error message");
+                break;
+            case Resp::Value: resp.value = in.f64("value"); break;
+            case Resp::Rows: {
+                const auto count = in.uint<std::uint32_t>("rows count");
+                for (std::uint32_t i = 0; i < count; ++i) {
+                    CostRow row;
+                    row.gpuName = in.str("row gpu");
+                    row.memGB = in.f64("row mem_gb");
+                    const auto batch = static_cast<std::int64_t>(
+                        in.uint<std::uint64_t>("row max_batch"));
+                    if (batch < std::numeric_limits<int>::min() ||
+                        batch > std::numeric_limits<int>::max())
+                        fail("row max_batch out of range");
+                    row.maxBatchSize = static_cast<int>(batch);
+                    row.throughputQps = in.f64("row qps");
+                    row.dollarsPerHour = in.f64("row usd_per_hour");
+                    row.totalDollars = in.f64("row total_usd");
+                    resp.rows.push_back(std::move(row));
+                }
+                break;
+            }
+            case Resp::Report: resp.report = in.str("report"); break;
+            case Resp::Snapshot: resp.snapshot = in.str("snapshot"); break;
+            case Resp::Stats: resp.statsJson = in.str("stats"); break;
+            }
+        });
+    if ((present & required) != required)
+        fail("missing a required field");
+    resp.value = schema::answerValue(resp);
+    return resp;
+}
+
+/** Encodes @p fields of @p response as one @p type frame. */
+std::string
+encodeResponse(WireMsg type, const PlanResponse& response,
+               schema::FieldSet fields)
+{
+    std::string p;
+    putU8(p, static_cast<unsigned char>(type));
+    for (unsigned tag = 1; tag < schema::kResponseByTag.size(); ++tag) {
+        const auto row = static_cast<Resp>(schema::kResponseByTag[tag]);
+        if (!(fields & schema::bit(row)))
+            continue;
+        putU8(p, static_cast<unsigned char>(tag));
+        switch (row) {
+        case Resp::Query:
+            putU8(p, static_cast<unsigned char>(response.query));
             break;
-        case kRespId: resp.id = in.str("id"); break;
-        case kRespOk:
-            resp.ok = in.boolean("ok");
-            sawOk = true;
-            break;
-        case kRespErrorCode:
-            resp.errorCode = in.str("error code");
-            break;
-        case kRespErrorMsg:
-            resp.errorMessage = in.str("error message");
-            break;
-        case kRespValue: resp.value = in.f64("value"); break;
-        case kRespRows: {
-            const std::uint32_t count = in.u32("rows count");
-            for (std::uint32_t i = 0; i < count; ++i) {
-                CostRow row;
-                row.gpuName = in.str("row gpu");
-                row.memGB = in.f64("row mem_gb");
-                const std::uint64_t raw = in.u64("row max_batch");
-                const std::int64_t batch =
-                    static_cast<std::int64_t>(raw);
-                if (batch < std::numeric_limits<int>::min() ||
-                    batch > std::numeric_limits<int>::max())
-                    bad("row max_batch out of range");
-                row.maxBatchSize = static_cast<int>(batch);
-                row.throughputQps = in.f64("row qps");
-                row.dollarsPerHour = in.f64("row usd_per_hour");
-                row.totalDollars = in.f64("row total_usd");
-                resp.rows.push_back(std::move(row));
+        case Resp::Id: putStr(p, response.id); break;
+        case Resp::Ok: putU8(p, response.ok ? 1 : 0); break;
+        case Resp::Error: putStr(p, response.errorCode); break;
+        case Resp::Message: putStr(p, response.errorMessage); break;
+        case Resp::Value: putF64(p, schema::answerValue(response)); break;
+        case Resp::Rows:
+            putUint(p, static_cast<std::uint32_t>(response.rows.size()));
+            for (const CostRow& row : response.rows) {
+                putStr(p, row.gpuName);
+                putF64(p, row.memGB);
+                putUint(p, static_cast<std::uint64_t>(
+                               static_cast<std::int64_t>(row.maxBatchSize)));
+                putF64(p, row.throughputQps);
+                putF64(p, row.dollarsPerHour);
+                putF64(p, row.totalDollars);
             }
             break;
-        }
-        case kRespReport: resp.report = in.str("report"); break;
-        case kRespSnapshot:
-            resp.snapshot = in.str("snapshot");
-            break;
-        case kRespStats: resp.statsJson = in.str("stats"); break;
-        default: bad(strCat("unknown response tag ", unsigned{tag}));
+        case Resp::Report: putStr(p, response.report); break;
+        case Resp::Snapshot: putStr(p, response.snapshot); break;
+        case Resp::Stats: putStr(p, response.statsJson); break;
         }
     }
-    if (!sawQuery)
-        bad("missing required query field");
-    if (!sawOk)
-        bad("missing required ok field");
-    // The writer derives the snapshot answer's `value` from the
-    // payload size instead of encoding it; restore the invariant for
-    // binary-native consumers.
-    if (resp.ok && resp.query == QueryKind::Snapshot)
-        resp.value = static_cast<double>(resp.snapshot.size());
-    return resp;
+    return wireFrame(p);
 }
 
 }  // namespace
@@ -452,7 +329,7 @@ wireFrame(std::string_view payload)
     putU8(out, kWireMagic2);
     putU8(out, kWireMagic3);
     putU8(out, kWireVersion);
-    putU32(out, static_cast<std::uint32_t>(payload.size()));
+    putUint(out, static_cast<std::uint32_t>(payload.size()));
     out.append(payload.data(), payload.size());
     return out;
 }
@@ -480,46 +357,35 @@ parseWireHeader(const unsigned char* header)
 std::string
 encodeRequestFrame(const PlanRequest& request)
 {
+    const schema::FieldSet fields = schema::requestFields(request);
     std::string p;
     putU8(p, static_cast<unsigned char>(WireMsg::Request));
-    putU8(p, kReqQuery);
-    putU8(p, queryKindByte(request.query));
-    if (!request.id.empty()) {
-        putU8(p, kReqId);
-        putStr(p, request.id);
-    }
-    if (!request.tenant.empty()) {
-        putU8(p, kReqTenant);
-        putStr(p, request.tenant);
-    }
-    if (!request.gpu.empty()) {
-        putU8(p, kReqGpu);
-        putStr(p, request.gpu);
-    }
-    if (!request.gpus.empty()) {
-        putU8(p, kReqGpus);
-        putU32(p, static_cast<std::uint32_t>(request.gpus.size()));
-        for (const std::string& gpu : request.gpus)
-            putStr(p, gpu);
-    }
-    if (isLiveKind(request.query)) {
-        // Live kinds carry no workload fields (the decoder, like the
-        // JSON parser, rejects them); load_snapshot ships its payload
-        // as raw bytes — the binary wire needs no base64.
-        if (request.query == QueryKind::LoadSnapshot) {
-            putU8(p, kReqSnapshot);
-            putStr(p, request.snapshot);
-        }
-        return wireFrame(p);
-    }
-    putU8(p, kReqScenario);
-    putScenario(p, request.scenario);
-    if (!request.rates.empty()) {
-        putU8(p, kReqRates);
-        putU32(p, static_cast<std::uint32_t>(request.rates.size()));
-        for (const CloudOffering& rate : request.rates) {
-            putStr(p, rate.gpuName);
-            putF64(p, rate.dollarsPerHour);
+    for (unsigned tag = 1; tag < schema::kRequestByTag.size(); ++tag) {
+        const auto row = static_cast<Req>(schema::kRequestByTag[tag]);
+        if (!(fields & schema::bit(row)))
+            continue;
+        putU8(p, static_cast<unsigned char>(tag));
+        switch (row) {
+        case Req::Query:
+            putU8(p, static_cast<unsigned char>(request.query));
+            break;
+        case Req::Id: putStr(p, request.id); break;
+        case Req::Tenant: putStr(p, request.tenant); break;
+        case Req::Gpu: putStr(p, request.gpu); break;
+        case Req::Gpus:
+            putUint(p, static_cast<std::uint32_t>(request.gpus.size()));
+            for (const std::string& gpu : request.gpus)
+                putStr(p, gpu);
+            break;
+        case Req::Scenario: putScenario(p, request.scenario); break;
+        case Req::Rates:
+            putUint(p, static_cast<std::uint32_t>(request.rates.size()));
+            for (const CloudOffering& rate : request.rates) {
+                putStr(p, rate.gpuName);
+                putF64(p, rate.dollarsPerHour);
+            }
+            break;
+        case Req::Snapshot: putStr(p, request.snapshot); break;
         }
     }
     return wireFrame(p);
@@ -528,87 +394,19 @@ encodeRequestFrame(const PlanRequest& request)
 std::string
 encodeResponseFrame(const PlanResponse& response)
 {
-    std::string p;
-    putU8(p, static_cast<unsigned char>(WireMsg::Response));
-    putU8(p, kRespQuery);
-    putU8(p, queryKindByte(response.query));
-    if (!response.id.empty()) {
-        putU8(p, kRespId);
-        putStr(p, response.id);
-    }
-    putU8(p, kRespOk);
-    putU8(p, response.ok ? 1 : 0);
-    if (!response.ok) {
-        putU8(p, kRespErrorCode);
-        putStr(p, response.errorCode);
-        putU8(p, kRespErrorMsg);
-        putStr(p, response.errorMessage);
-        return wireFrame(p);
-    }
-    // Field selection per kind mirrors writePlanResponse exactly, so
-    // decode + writePlanResponse is byte-identical to the JSON path.
-    switch (response.query) {
-    case QueryKind::MaxBatch:
-    case QueryKind::Throughput:
-        putU8(p, kRespValue);
-        putF64(p, response.value);
-        break;
-    case QueryKind::CostTable:
-    case QueryKind::CheapestPlan:
-        putU8(p, kRespRows);
-        putU32(p, static_cast<std::uint32_t>(response.rows.size()));
-        for (const CostRow& row : response.rows) {
-            putStr(p, row.gpuName);
-            putF64(p, row.memGB);
-            putU64(p, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(
-                              row.maxBatchSize)));
-            putF64(p, row.throughputQps);
-            putF64(p, row.dollarsPerHour);
-            putF64(p, row.totalDollars);
-        }
-        break;
-    case QueryKind::Report:
-        putU8(p, kRespReport);
-        putStr(p, response.report);
-        break;
-    case QueryKind::Snapshot:
-        // `value` is derived from the payload size on both wires.
-        putU8(p, kRespSnapshot);
-        putStr(p, response.snapshot);
-        break;
-    case QueryKind::Fleet:
-    case QueryKind::LoadSnapshot:
-        putU8(p, kRespValue);
-        putF64(p, response.value);
-        putU8(p, kRespReport);
-        putStr(p, response.report);
-        break;
-    case QueryKind::Stats:
-        putU8(p, kRespValue);
-        putF64(p, response.value);
-        putU8(p, kRespStats);
-        putStr(p, response.statsJson);
-        break;
-    }
-    return wireFrame(p);
+    return encodeResponse(WireMsg::Response, response,
+                          schema::responseFields(response, true));
 }
 
 std::string
 encodeProtocolErrorFrame(const std::string& id,
                          const std::string& message)
 {
-    // No query field, like writeProtocolError: the request kind was
-    // never established.
-    std::string p;
-    putU8(p, static_cast<unsigned char>(WireMsg::ProtocolError));
-    if (!id.empty()) {
-        putU8(p, kRespId);
-        putStr(p, id);
-    }
-    putU8(p, kRespErrorMsg);
-    putStr(p, message);
-    return wireFrame(p);
+    PlanResponse error;
+    error.id = id;
+    error.errorMessage = message;
+    return encodeResponse(WireMsg::ProtocolError, error,
+                          schema::protocolErrorFields(!id.empty(), true));
 }
 
 Result<WireMessage>
@@ -625,36 +423,23 @@ decodeWirePayload(std::string_view payload)
             return msg;
         case static_cast<unsigned char>(WireMsg::Response):
             msg.type = WireMsg::Response;
-            msg.response = readResponse(in);
+            msg.response = readResponse(
+                in, ~schema::FieldSet{0},
+                schema::bit(Resp::Query) | schema::bit(Resp::Ok));
             return msg;
         case static_cast<unsigned char>(WireMsg::ProtocolError): {
             msg.type = WireMsg::ProtocolError;
-            bool sawMessage = false;
-            int lastTag = 0;
-            while (!in.done()) {
-                const unsigned char tag = in.u8("field tag");
-                if (tag <= lastTag)
-                    bad(strCat("duplicate or out-of-order tag ",
-                               unsigned{tag}));
-                lastTag = tag;
-                if (tag == kRespId) {
-                    msg.errorId = in.str("id");
-                } else if (tag == kRespErrorMsg) {
-                    msg.errorMessage = in.str("error message");
-                    sawMessage = true;
-                } else {
-                    bad(strCat("unknown protocol-error tag ",
-                               unsigned{tag}));
-                }
-            }
-            if (!sawMessage)
-                bad("missing required error message field");
+            PlanResponse error =
+                readResponse(in, schema::protocolErrorFields(true, true),
+                             schema::protocolErrorFields(false, true));
+            msg.errorId = std::move(error.id);
+            msg.errorMessage = std::move(error.errorMessage);
             return msg;
         }
         default:
-            bad(strCat("unknown message type ", unsigned{type}));
+            fail(strCat("unknown message type ", unsigned{type}));
         }
-    } catch (const WireErr& err) {
+    } catch (const schema::CodecError& err) {
         return Error{ErrorCode::InvalidArgument,
                      strCat("bad frame: ", err.msg)};
     }

@@ -30,11 +30,10 @@
  * round-trip — re-serializing a decoded message preserves coalescing
  * identity and golden bytes), integers are fixed-width little-endian.
  *
- * Decoding is strict and bounds-checked, mirroring the JSON parser's
- * valid-request-or-typed-error contract: unknown tags, duplicate or
- * out-of-order tags, truncated fields, non-finite doubles, and every
- * semantic rule of `parsePlanRequest` (live kinds take no workload
- * fields, per-GPU kinds require a gpu, ...) come back as
+ * Tags, field selection and every semantic rule come from the schema
+ * the JSON codec also reads (serve/schema.hpp). Decoding is strict and
+ * bounds-checked: unknown, duplicate or out-of-order tags, truncated
+ * fields, non-finite doubles and rule violations come back as
  * `InvalidArgument`, never a crash. Framing-level damage (bad magic,
  * bad version, oversized or empty length) is not decodable at all —
  * `BinaryFramer` in net/framing.hpp poisons the connection instead,
@@ -90,9 +89,9 @@ std::string wireFrame(std::string_view payload);
 /** Encodes a request as one complete frame (header included). */
 std::string encodeRequestFrame(const PlanRequest& request);
 
-/** Encodes a response as one complete frame. Field selection mirrors
- *  `writePlanResponse` (per-kind), so decode + writePlanResponse
- *  reproduces the JSON path's bytes exactly. */
+/** Encodes a response as one complete frame. Its fields are the
+ *  schema's, so decode + writePlanResponse reproduces the JSON path's
+ *  bytes exactly. */
 std::string encodeResponseFrame(const PlanResponse& response);
 
 /** Encodes the binary analog of `writeProtocolError`. */

@@ -286,6 +286,9 @@ TEST(Protocol, MalformedInputIsInvalidArgument)
         R"({"query":"max_batch","gpu":"A40","scenario":{"batch":8}})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":0}})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":1.5}})",
+        R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":1e30}})",
+        R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":9007199254740993}})",
+        R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":18446744073709551616}})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"length_sigma":-1}})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"epochs":0}})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"num_queries":-5}})",

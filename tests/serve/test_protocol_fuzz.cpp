@@ -8,7 +8,8 @@
  * never throw anything else, never hang. Accepted mutants must also
  * survive a write -> reparse round-trip with their coalescing identity
  * intact (a mutated line the service would cache under one key must
- * re-serialize to the same key).
+ * re-serialize to the same key), and a re-encode into the binary codec
+ * with the same id, tenant and key.
  *
  * The iteration count (>= 10k) and the fixed seed make this a
  * regression corpus, not a flaky search: every run explores the same
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "serve/protocol.hpp"
+#include "serve/wire.hpp"
 
 namespace ftsim {
 namespace {
@@ -59,6 +61,12 @@ seedCorpus()
         R"({"id":"\uDC00","query":"max_batch","gpu":"A40"})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"epochs":+5}})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"epochs":.5}})",
+        // Out-of-range median_seq_len and a rate named twice: both
+        // must be typed errors here and in the binary codec.
+        R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":1e30}})",
+        R"({"query":"max_batch","gpu":"A40",)"
+        R"("scenario":{"median_seq_len":9007199254740993}})",
+        R"({"query":"cost_table","rates":{"A40":1.5,"A40":2.5}})",
     };
     // Plus the writer's own spelling of every request kind.
     for (QueryKind kind :
@@ -192,6 +200,20 @@ TEST(ProtocolFuzz, ParserNeverCrashesAndErrorsAreTyped)
             << "\" but rejected its own rewrite \"" << rewritten
             << "\": " << reparsed.error().describe();
         ASSERT_EQ(reparsed.value().canonicalKey(),
+                  parsed.value().canonicalKey())
+            << "iteration " << i << ": " << line;
+        // ...and the binary codec must accept them with the same
+        // identity: the two encodings share one schema.
+        Result<WireMessage> crossed = decodeWirePayload(
+            encodeRequestFrame(parsed.value()).substr(kWireHeaderBytes));
+        ASSERT_TRUE(crossed.ok())
+            << "iteration " << i << ": binary rejected \"" << line
+            << "\": " << crossed.error().describe();
+        ASSERT_EQ(crossed.value().request.id, parsed.value().id)
+            << "iteration " << i << ": " << line;
+        ASSERT_EQ(crossed.value().request.tenant, parsed.value().tenant)
+            << "iteration " << i << ": " << line;
+        ASSERT_EQ(crossed.value().request.canonicalKey(),
                   parsed.value().canonicalKey())
             << "iteration " << i << ": " << line;
     }

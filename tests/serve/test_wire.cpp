@@ -341,6 +341,20 @@ TEST(Wire, HostilePayloadsAreTypedErrors)
             p[i] = '\xff';
         hostile.push_back(p);
     }
+    // median_seq_len past the bound: 2^53 + 1 and the u64 maximum (a
+    // u64 cannot carry 1e30 or 2^64 itself).
+    for (std::uint64_t seq :
+         {(std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+        PlanRequest req = requestOfKind(QueryKind::MaxBatch);
+        req.scenario.medianSeqLen = seq;
+        hostile.push_back(payloadOf(encodeRequestFrame(req)));
+    }
+    {
+        // The same GPU priced twice.
+        PlanRequest req = requestOfKind(QueryKind::CostTable);
+        req.rates = {{"user", "A40", 1.0}, {"user", "A40", 2.0}};
+        hostile.push_back(payloadOf(encodeRequestFrame(req)));
+    }
 
     for (const std::string& payload : hostile) {
         Result<WireMessage> decoded = decodeWirePayload(payload);

@@ -12,7 +12,9 @@
  *    `InvalidArgument`; never any other error, crash, or throw.
  *  - Accepted mutants survive a re-encode -> re-decode round trip
  *    with their identity intact (canonical key for requests, the JSON
- *    writer's bytes for responses).
+ *    writer's bytes for responses). Accepted requests also re-encode
+ *    as JSON lines the JSON codec accepts with the same id, tenant
+ *    and key.
  *
  * Fixed seed + fixed iteration count make this a regression corpus: a
  * failure reproduces by seed and iteration index alone. ci.sh also
@@ -68,6 +70,18 @@ seedCorpus()
                                .withEpochs(3.0);
             req.rates = {{"user", "L40S", 1.05}};
         }
+        corpus.push_back(encodeRequestFrame(req));
+    }
+    {
+        // Out-of-range median_seq_len and a rate named twice: both
+        // must be typed errors here and in the JSON codec.
+        PlanRequest req;
+        req.query = QueryKind::MaxBatch;
+        req.gpu = "A40";
+        req.scenario.medianSeqLen = (std::uint64_t{1} << 53) + 1;
+        corpus.push_back(encodeRequestFrame(req));
+        req.scenario = Scenario::gsMath();
+        req.rates = {{"user", "A40", 1.5}, {"user", "A40", 2.5}};
         corpus.push_back(encodeRequestFrame(req));
     }
 
@@ -228,19 +242,34 @@ TEST(WireFuzz, FramerAndDecoderNeverCrashAndErrorsAreTyped)
                 << redecoded.error().describe();
             ASSERT_EQ(redecoded.value().type, msg.type)
                 << "iteration " << i;
-            if (msg.type == WireMsg::Request)
+            if (msg.type == WireMsg::Request) {
                 ASSERT_EQ(redecoded.value().request.canonicalKey(),
                           msg.request.canonicalKey())
                     << "iteration " << i;
-            else if (msg.type == WireMsg::Response)
+                // The JSON codec must accept an accepted request with
+                // the same identity: the two encodings share one schema.
+                const std::string line = writePlanRequest(msg.request);
+                Result<PlanRequest> crossed = parsePlanRequest(line);
+                ASSERT_TRUE(crossed.ok())
+                    << "iteration " << i << ": JSON rejected \"" << line
+                    << "\": " << crossed.error().describe();
+                ASSERT_EQ(crossed.value().id, msg.request.id)
+                    << "iteration " << i;
+                ASSERT_EQ(crossed.value().tenant, msg.request.tenant)
+                    << "iteration " << i;
+                ASSERT_EQ(crossed.value().canonicalKey(),
+                          msg.request.canonicalKey())
+                    << "iteration " << i << ": " << line;
+            } else if (msg.type == WireMsg::Response) {
                 ASSERT_EQ(
                     writePlanResponse(redecoded.value().response),
                     writePlanResponse(msg.response))
                     << "iteration " << i;
-            else
+            } else {
                 ASSERT_EQ(redecoded.value().errorMessage,
                           msg.errorMessage)
                     << "iteration " << i;
+            }
         }
     }
 
