@@ -26,7 +26,6 @@
 
 #include "bench_util.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "core/planner.hpp"
 
 using namespace ftsim;
@@ -72,7 +71,6 @@ main(int argc, char** argv)
 
     const Scenario scenario = Scenario::gsMath();
     const std::vector<GpuSpec> gpus = GpuSpec::paperGpus();
-    const unsigned threads = hardwareThreads();
 
     // --- Reference: the pre-compiled-plan implementation. ------------
     // One fresh simulator per GPU, every step profiled through the
@@ -100,17 +98,8 @@ main(int argc, char** argv)
             planner.throughputObservations(gpu);
     });
 
-    // --- Compiled-plan path, parallel, cache cold. --------------------
-    const double cold_sweep_parallel_ms = bestOfMs(3, 20, [&] {
-        Planner planner(scenario);
-        planner.setParallelism(threads);
-        for (const GpuSpec& gpu : gpus)
-            planner.throughputObservations(gpu);
-    });
-
     // --- Warm sweep: planner cache populated. -------------------------
     Planner warm(scenario);
-    warm.setParallelism(threads);
     for (const GpuSpec& gpu : gpus)
         warm.throughputObservations(gpu);
     const double warm_sweep_ms = bestOfMs(5, 200, [&] {
@@ -121,7 +110,6 @@ main(int argc, char** argv)
     // --- Cost table / cheapest plan. ----------------------------------
     const double cold_cost_table_ms = bestOfMs(3, 20, [&] {
         Planner planner(scenario);
-        planner.setParallelism(threads);
         planner.costTable(gpus);
     });
     const double warm_cost_table_ms =
@@ -137,10 +125,6 @@ main(int argc, char** argv)
         cold_sweep_serial_ms > 0.0
             ? reference_sweep_ms / cold_sweep_serial_ms
             : 0.0;
-    const double cold_parallel_speedup =
-        cold_sweep_parallel_ms > 0.0
-            ? reference_sweep_ms / cold_sweep_parallel_ms
-            : 0.0;
 
     bench::section("Full-catalog throughput sweep (" +
                    std::to_string(sweep_points) + " configs, " +
@@ -150,9 +134,6 @@ main(int argc, char** argv)
               << "cold, compiled plans, serial:         "
               << cold_sweep_serial_ms << " ms  (" << cold_serial_speedup
               << "x)\n"
-              << "cold, compiled plans, " << threads << " threads:"
-              << "      " << cold_sweep_parallel_ms << " ms  ("
-              << cold_parallel_speedup << "x)\n"
               << "warm (memoized):                      " << warm_sweep_ms
               << " ms  (" << warm_speedup << "x)\n";
     bench::note("cold ratios isolate the compiled-plan rewrite; the "
@@ -174,12 +155,9 @@ main(int argc, char** argv)
         << "  \"scenario\": \"gsMath (Mixtral-8x7B, median 148)\",\n"
         << "  \"gpu_count\": " << gpus.size() << ",\n"
         << "  \"sweep_configs\": " << sweep_points << ",\n"
-        << "  \"threads\": " << threads << ",\n"
         << "  \"timings_ms\": {\n"
         << "    \"reference_sweep\": " << reference_sweep_ms << ",\n"
         << "    \"cold_sweep_serial\": " << cold_sweep_serial_ms << ",\n"
-        << "    \"cold_sweep_parallel\": " << cold_sweep_parallel_ms
-        << ",\n"
         << "    \"warm_sweep\": " << warm_sweep_ms << ",\n"
         << "    \"cold_cost_table\": " << cold_cost_table_ms << ",\n"
         << "    \"warm_cost_table\": " << warm_cost_table_ms << ",\n"
@@ -188,9 +166,7 @@ main(int argc, char** argv)
         << "  },\n"
         << "  \"speedups_vs_reference\": {\n"
         << "    \"warm_sweep\": " << warm_speedup << ",\n"
-        << "    \"cold_sweep_serial\": " << cold_serial_speedup << ",\n"
-        << "    \"cold_sweep_parallel\": " << cold_parallel_speedup
-        << "\n"
+        << "    \"cold_sweep_serial\": " << cold_serial_speedup << "\n"
         << "  },\n"
         << "  \"planner_stats\": {\n"
         << "    \"step_cache_hits\": " << stats.stepCacheHits << ",\n"

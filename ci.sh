@@ -364,7 +364,9 @@ echo "ci.sh: ASan+UBSan serve/fuzz/net/fleet/stats suites green"
 # publishing on hot paths, so put the herd and histogram quantile
 # suites under ThreadSanitizer when the toolchain supports it — plus
 # the suites where PlanService worker threads complete answers and wake
-# the event loop (Net*, Router*, FaultProxy*, PlanService*). Probe
+# the event loop (Net*, Router*, FaultProxy*, PlanService*), and the
+# Planner.Concurrent* herds — the only thread-safety coverage of the
+# step cache that PlanService workers share. Probe
 # first — some images ship compilers without TSan runtimes — and skip
 # with a note rather than fail when the probe cannot link or run.
 TSAN_PROBE_DIR=$(mktemp -d)
@@ -377,8 +379,8 @@ if echo 'int main() { return 0; }' > "$TSAN_PROBE_DIR/probe.cpp" \
         -DFTSIM_BUILD_BENCH=OFF -DFTSIM_BUILD_EXAMPLES=OFF > /dev/null
   cmake --build "$TSAN_DIR" -j --target ftsim_tests
   "$TSAN_DIR/ftsim_tests" \
-      --gtest_filter='StatsRegistry*:Histogram*:Net*:Router*:FaultProxy*:PlanService*'
-  echo "ci.sh: TSan stats/histogram herd + loop/service suites green"
+      --gtest_filter='StatsRegistry*:Histogram*:Net*:Router*:FaultProxy*:PlanService*:Planner.Concurrent*'
+  echo "ci.sh: TSan stats/histogram herd + loop/service + planner cache suites green"
 else
   echo "ci.sh: TSan unavailable in this toolchain, skipping (probe failed)"
 fi

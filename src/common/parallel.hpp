@@ -3,14 +3,7 @@
 
 /**
  * @file
- * Minimal fork-join parallelism for fan-out sweeps.
- *
- * `parallelFor` runs `body(i)` for i in [0, n) on up to `threads`
- * workers pulling indices from a shared atomic counter (work stealing
- * at index granularity). With `threads <= 1` (or n <= 1) it degrades to
- * a plain serial loop — callers need no separate code path. Exceptions
- * escaping `body` are captured and the first one is rethrown on the
- * calling thread after the join.
+ * A persistent worker pool for the serving layer.
  */
 
 #include <condition_variable>
@@ -27,26 +20,15 @@ namespace ftsim {
 unsigned hardwareThreads();
 
 /**
- * Runs @p body over [0, n) on up to @p threads workers and joins.
- * @p body must be safe to call concurrently for distinct indices.
- * A parallelFor invoked from inside another parallelFor's body runs
- * serially (the outer loop owns the thread budget; nesting would
- * oversubscribe the machine quadratically).
- */
-void parallelFor(std::size_t n, unsigned threads,
-                 const std::function<void(std::size_t)>& body);
-
-/**
  * Persistent FIFO worker pool for request-serving workloads.
  *
- * `parallelFor` is fork-join: it owns its workers for one bounded
- * sweep and then tears them down. A server instead admits an unbounded
- * stream of independent tasks, so `WorkerPool` keeps its threads alive
- * and feeds them from a mutex-guarded queue. Tasks must not throw
- * (wrap fallible work and encode failure in the task's own result
- * channel); an escaping exception terminates the process, as it would
- * from any detached thread. The destructor drains every queued task
- * before joining, so submitted work is never silently dropped.
+ * A server admits an unbounded stream of independent tasks, so
+ * `WorkerPool` keeps its threads alive and feeds them from a
+ * mutex-guarded queue. Tasks must not throw (wrap fallible work and
+ * encode failure in the task's own result channel); an escaping
+ * exception terminates the process, as it would from any detached
+ * thread. The destructor drains every queued task before joining, so
+ * submitted work is never silently dropped.
  */
 class WorkerPool {
   public:

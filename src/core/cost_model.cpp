@@ -41,12 +41,6 @@ CloudCatalog::rate(const std::string& gpu_name) const
     return best;
 }
 
-double
-CloudCatalog::ratePerHour(const std::string& gpu_name) const
-{
-    return rate(gpu_name).valueOrThrow();
-}
-
 CloudCatalog&
 CloudCatalog::withRate(const std::string& gpu_name, double usd_per_hour)
 {
@@ -102,13 +96,6 @@ CostEstimator::tryEstimate(const std::string& gpu_name, double qps,
     return est;
 }
 
-CostEstimate
-CostEstimator::estimate(const std::string& gpu_name, double qps,
-                        double num_queries, double epochs) const
-{
-    return tryEstimate(gpu_name, qps, num_queries, epochs).valueOrThrow();
-}
-
 Result<CostEstimate>
 CostEstimator::tryCheapest(
     const std::vector<std::pair<std::string, double>>& candidates,
@@ -128,14 +115,6 @@ CostEstimator::tryCheapest(
             best = est.value();
     }
     return best;
-}
-
-CostEstimate
-CostEstimator::cheapest(
-    const std::vector<std::pair<std::string, double>>& candidates,
-    double num_queries, double epochs) const
-{
-    return tryCheapest(candidates, num_queries, epochs).valueOrThrow();
 }
 
 }  // namespace ftsim

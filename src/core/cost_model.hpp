@@ -67,13 +67,6 @@ class CloudCatalog {
      */
     Result<double> rate(const std::string& gpu_name) const;
 
-    /**
-     * Cheapest rate for the GPU name (any provider).
-     * Throws FatalError if the GPU is not listed.
-     * @deprecated Legacy shim over rate(); prefer the Result form.
-     */
-    double ratePerHour(const std::string& gpu_name) const;
-
     /** True if any offering covers the GPU. */
     bool has(const std::string& gpu_name) const;
 
@@ -115,25 +108,10 @@ class CostEstimator {
                                      double epochs) const;
 
     /**
-     * Like tryEstimate but throws FatalError on any failure.
-     * @deprecated Legacy shim; prefer the Result form.
-     */
-    CostEstimate estimate(const std::string& gpu_name, double qps,
-                          double num_queries, double epochs) const;
-
-    /**
      * Cheapest option among the given (gpu, qps) candidates.
      * `NoViablePlan` on an empty candidate list.
      */
     Result<CostEstimate> tryCheapest(
-        const std::vector<std::pair<std::string, double>>& candidates,
-        double num_queries, double epochs) const;
-
-    /**
-     * Like tryCheapest but throws FatalError on any failure.
-     * @deprecated Legacy shim; prefer the Result form.
-     */
-    CostEstimate cheapest(
         const std::vector<std::pair<std::string, double>>& candidates,
         double num_queries, double epochs) const;
 

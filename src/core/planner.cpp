@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "common/lru_cache.hpp"
-#include "common/parallel.hpp"
 
 namespace ftsim {
 
@@ -67,13 +66,6 @@ Planner::Planner(Scenario scenario, CloudCatalog catalog,
 }
 
 Planner::~Planner() = default;
-
-Planner&
-Planner::setParallelism(unsigned threads)
-{
-    parallelism_ = threads > 0 ? threads : 1;
-    return *this;
-}
 
 Planner&
 Planner::setStepCacheCapacity(std::size_t entries)
@@ -373,30 +365,23 @@ Planner::costTable(const std::vector<GpuSpec>& gpus) const
         return Error{ErrorCode::EmptySweep,
                      "Planner::costTable: empty GPU list"};
 
-    // One slot per GPU keeps the fan-out order-stable under threading.
-    std::vector<std::optional<CostRow>> slots(gpus.size());
-    parallelFor(gpus.size(), parallelism_, [&](std::size_t i) {
-        const GpuSpec& gpu = gpus[i];
+    std::vector<CostRow> rows;
+    for (const GpuSpec& gpu : gpus) {
         if (!catalog_.has(gpu.name))
-            return;  // No price -> no row (paper's CUDO list).
+            continue;  // No price -> no row (paper's CUDO list).
         Result<int> mbs = maxBatch(gpu);
         if (!mbs)
-            return;  // Does not fit.
+            continue;  // Does not fit.
         Result<CostEstimate> est = cost(gpu);
         if (!est)
-            return;
-        slots[i] = CostRow{gpu.name,
-                           gpu.memGB,
-                           mbs.value(),
-                           est.value().throughputQps,
-                           est.value().dollarsPerHour,
-                           est.value().totalDollars};
-    });
-
-    std::vector<CostRow> rows;
-    for (std::optional<CostRow>& slot : slots)
-        if (slot)
-            rows.push_back(std::move(*slot));
+            continue;
+        rows.push_back(CostRow{gpu.name,
+                               gpu.memGB,
+                               mbs.value(),
+                               est.value().throughputQps,
+                               est.value().dollarsPerHour,
+                               est.value().totalDollars});
+    }
     if (rows.empty())
         return Error{ErrorCode::NoViablePlan,
                      strCat("Planner::costTable: no GPU in the catalog "
@@ -429,12 +414,11 @@ Planner::batchSizeSweep(const std::vector<GpuSpec>& gpus,
         return Error{ErrorCode::EmptySweep,
                      "Planner::batchSizeSweep: empty sweep"};
 
+    // Pure memory-model arithmetic, in GPU-major order.
     const double model_mem = scenario_.model.weightMemoryBytes() / 1e9;
-    // Pure memory-model arithmetic — per-GPU blocks fan out, then
-    // concatenate in GPU order so the result is deterministic.
-    std::vector<std::vector<BatchSizeObservation>> blocks(gpus.size());
-    parallelFor(gpus.size(), parallelism_, [&](std::size_t i) {
-        const GpuSpec& gpu = gpus[i];
+    std::vector<BatchSizeObservation> out;
+    out.reserve(gpus.size() * seq_lens.size() * 2);
+    for (const GpuSpec& gpu : gpus) {
         for (std::size_t seq : seq_lens) {
             for (bool sparse : {false, true}) {
                 BatchSizeObservation obs;
@@ -444,15 +428,10 @@ Planner::batchSizeSweep(const std::vector<GpuSpec>& gpus,
                 obs.sparsity = scenario_.model.sparsity(sparse);
                 obs.maxBatch = MemoryModel::maxBatchSize(
                     scenario_.model, gpu, seq, sparse);
-                blocks[i].push_back(obs);
+                out.push_back(obs);
             }
         }
-    });
-
-    std::vector<BatchSizeObservation> out;
-    out.reserve(gpus.size() * seq_lens.size() * 2);
-    for (std::vector<BatchSizeObservation>& block : blocks)
-        out.insert(out.end(), block.begin(), block.end());
+    }
     return out;
 }
 

@@ -22,22 +22,24 @@
  * a cost table followed by a report followed by a sweep never simulates
  * the same configuration twice (`stats()` exposes the hit/miss counters
  * and the underlying simulators' step counts for verification). The
- * multi-GPU fan-outs (`costTable`, `cheapestPlan`, `batchSizeSweep`)
- * optionally run on a thread pool (`setParallelism`). The per-GPU
- * batch sweep (`throughputObservations`) instead runs its cache misses
- * as one vectorized `FineTuneSim::profileSweep` pass — a single
- * `StepPlan::evaluateSweep` walk per plan shape beats any per-batch
- * fan-out, and `costTable`'s per-GPU profile (max batch only) reads
- * the same promised-future step cache, so a sweep that already ran
- * makes the cost table's profile a cache hit.
+ * multi-GPU queries (`costTable`, `cheapestPlan`, `batchSizeSweep`)
+ * walk their GPUs in order on the calling thread. The per-GPU batch
+ * sweep (`throughputObservations`) runs its cache misses as one
+ * vectorized `FineTuneSim::profileSweep` pass — a single
+ * `StepPlan::evaluateSweep` walk per plan shape — and `costTable`'s
+ * per-GPU profile (max batch only) reads the same promised-future step
+ * cache, so a sweep that already ran makes the cost table's profile a
+ * cache hit.
  *
- * The cache is thread-safe and sharded per GPU, and within a shard the
- * entries have shared-future once-semantics: the shard mutex only
- * guards the map itself, while the simulation runs *outside* the lock.
- * Concurrent queries against the same GPU therefore compute distinct
- * configurations in parallel; threads asking for the same in-flight
- * configuration wait on its future instead of re-simulating, so
- * `stepsSimulated == stepCacheMisses` holds under any interleaving.
+ * A planner is shared by concurrent callers (the serving layer's
+ * workers), so the cache is thread-safe and sharded per GPU, and
+ * within a shard the entries have shared-future once-semantics: the
+ * shard mutex only guards the map itself, while the simulation runs
+ * *outside* the lock. Concurrent queries against the same GPU
+ * therefore compute distinct configurations in parallel; threads
+ * asking for the same in-flight configuration wait on its future
+ * instead of re-simulating, so `stepsSimulated == stepCacheMisses`
+ * holds under any interleaving.
  */
 
 #include <atomic>
@@ -98,12 +100,6 @@ class Planner {
 
     /** The price list in use. */
     const CloudCatalog& catalog() const { return catalog_; }
-
-    /**
-     * Worker threads for the multi-GPU fan-outs (costTable,
-     * cheapestPlan, batchSizeSweep). 0 or 1 = serial. Returns *this.
-     */
-    Planner& setParallelism(unsigned threads);
 
     /**
      * Bounds each per-GPU step-cache shard to @p entries memoized
@@ -272,7 +268,6 @@ class Planner {
      *  it: CostEstimator snapshots the catalog at construction). */
     CostEstimator estimator_;
     std::shared_ptr<PlanRegistry> registry_;
-    unsigned parallelism_ = 1;
     /** Per-shard step-cache bound (0 = unbounded); see
      *  setStepCacheCapacity. */
     std::size_t step_cache_capacity_ = 0;

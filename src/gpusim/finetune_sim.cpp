@@ -358,18 +358,15 @@ FineTuneSim::throughput(std::size_t batch, std::size_t seq_len,
 
 Result<std::vector<ThroughputPoint>>
 FineTuneSim::throughputSweep(std::size_t seq_len, bool sparse,
-                             std::size_t max_batch, double length_sigma,
-                             unsigned threads) const
+                             std::size_t max_batch,
+                             double length_sigma) const
 {
     if (max_batch == 0)
         return Error{ErrorCode::InvalidArgument,
                      "FineTuneSim::throughputSweep: zero max batch"};
-    // One vectorized pass over the compiled plan replaces the old
-    // per-batch fan-out; the results were always thread-count
-    // independent and stay bit-identical to a per-batch stepSeconds
-    // loop (evaluateSweep + accumulateSweepSeconds both preserve the
-    // scalar evaluation order).
-    (void)threads;
+    // One vectorized pass over the compiled plan, bit-identical to a
+    // per-batch stepSeconds loop (evaluateSweep + accumulateSweepSeconds
+    // both preserve the scalar evaluation order).
 
     RunConfig shape;
     shape.sparse = sparse;

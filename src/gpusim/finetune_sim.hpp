@@ -145,13 +145,11 @@ class FineTuneSim {
      * pass over the compiled plan (`StepPlan::evaluateSweep` + the
      * execution model's sweep accumulator) — every point is
      * deterministic and bit-identical to a per-batch `stepSeconds`
-     * loop. @p threads is retained for API compatibility: the single
-     * pass is cheaper than any per-batch fan-out, so the value no
-     * longer affects execution (and never affected the results).
+     * loop.
      */
     Result<std::vector<ThroughputPoint>> throughputSweep(
         std::size_t seq_len, bool sparse, std::size_t max_batch,
-        double length_sigma = 0.0, unsigned threads = 1) const;
+        double length_sigma = 0.0) const;
 
     /** Effective (padding-amplified) sequence length for a batch. */
     std::size_t paddedSeqLen(std::size_t seq_len, std::size_t batch,

@@ -7,7 +7,6 @@
 
 #include "common/clock.hpp"
 #include "common/logging.hpp"
-#include "net/socket.hpp"
 
 namespace ftsim {
 
@@ -25,17 +24,15 @@ EventLoop::EventLoop(std::function<double()> clock)
     int fds[2] = {-1, -1};
     if (::pipe(fds) != 0)
         fatal("EventLoop: cannot create wake pipe");
+    wakeRead_ = UniqueFd(fds[0]);
+    wakeWrite_ = UniqueFd(fds[1]);
     setNonBlocking(fds[0]);
     setNonBlocking(fds[1]);
-    wakeRead_ = fds[0];
-    wakeWrite_ = fds[1];
 }
 
 EventLoop::~EventLoop()
 {
     stop();
-    ::close(wakeRead_);
-    ::close(wakeWrite_);
 }
 
 double
@@ -63,7 +60,7 @@ EventLoop::wake()
 {
     // A full pipe means a wake is already pending: EAGAIN is success.
     const char byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(wakeWrite_, &byte, 1);
+    [[maybe_unused]] ssize_t n = ::write(wakeWrite_.get(), &byte, 1);
 }
 
 void
@@ -94,7 +91,7 @@ EventLoop::run(Driver& driver)
         fds_.clear();
         handlers_.clear();
         deadlineMs_ = -1.0;
-        fds_.push_back({wakeRead_, POLLIN, 0});
+        fds_.push_back({wakeRead_.get(), POLLIN, 0});
         handlers_.push_back(nullptr);
         if (!driver.prepare())
             break;
@@ -113,7 +110,7 @@ EventLoop::run(Driver& driver)
                 continue;
             }
             char buf[256];
-            while (::read(wakeRead_, buf, sizeof(buf)) > 0) {
+            while (::read(wakeRead_.get(), buf, sizeof(buf)) > 0) {
             }
         }
         driver.afterEvents();

@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include "net/socket.hpp"
+
 namespace ftsim {
 
 class EventLoop {
@@ -51,7 +53,7 @@ class EventLoop {
     /** @param clock virtual time in ms; null = the real steady clock. */
     explicit EventLoop(std::function<double()> clock = {});
 
-    /** stop(), then closes the wake pipe. */
+    /** stop(); the wake pipe closes after. */
     ~EventLoop();
 
     EventLoop(const EventLoop&) = delete;
@@ -85,8 +87,8 @@ class EventLoop {
     int pollTimeoutMs() const;
 
     std::function<double()> clock_;
-    int wakeRead_ = -1;
-    int wakeWrite_ = -1;
+    UniqueFd wakeRead_;
+    UniqueFd wakeWrite_;
     std::atomic<bool> stopRequested_{false};
     bool stopping_ = false;
     std::atomic<bool> done_{false};

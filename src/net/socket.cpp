@@ -42,6 +42,15 @@ resolve(const std::string& host, std::uint16_t port)
     return addr;
 }
 
+/** Request/response lines are small; without NODELAY, Nagle delays
+ *  each pipelined line behind the previous ACK. */
+void
+setNoDelay(int fd)
+{
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 std::string
 peerLabel(const sockaddr_in& addr)
 {
@@ -59,35 +68,14 @@ setNonBlocking(int fd)
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) >= 0;
 }
 
+void
+UniqueFd::reset()
+{
+    if (fd_ >= 0)
+        ::close(std::exchange(fd_, -1));
+}
+
 // ---- Connection ---------------------------------------------------------
-
-Connection::Connection(int fd, std::string peer)
-    : fd_(fd), peer_(std::move(peer))
-{
-}
-
-Connection::~Connection()
-{
-    close();
-}
-
-Connection::Connection(Connection&& other) noexcept
-    : fd_(other.fd_), peer_(std::move(other.peer_))
-{
-    other.fd_ = -1;
-}
-
-Connection&
-Connection::operator=(Connection&& other) noexcept
-{
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        peer_ = std::move(other.peer_);
-        other.fd_ = -1;
-    }
-    return *this;
-}
 
 Result<Connection>
 Connection::connectTo(const std::string& host, std::uint16_t port)
@@ -95,23 +83,18 @@ Connection::connectTo(const std::string& host, std::uint16_t port)
     Result<sockaddr_in> addr = resolve(host, port);
     if (!addr)
         return addr.error();
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
+    UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    if (!fd.valid())
         return Error{ErrorCode::InvalidArgument,
                      strCat("socket(): ", errnoText())};
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
-                  sizeof(addr.value())) != 0) {
-        const std::string text = errnoText();
-        ::close(fd);
+    if (::connect(fd.get(),
+                  reinterpret_cast<const sockaddr*>(&addr.value()),
+                  sizeof(addr.value())) != 0)
         return Error{ErrorCode::InvalidArgument,
                      strCat("cannot connect to ", host, ':', port, ": ",
-                            text)};
-    }
-    // Request/response lines are small; without NODELAY, Nagle delays
-    // each pipelined line behind the previous ACK.
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return Connection(fd, strCat(host, ':', port));
+                            errnoText())};
+    setNoDelay(fd.get());
+    return Connection(std::move(fd), strCat(host, ':', port));
 }
 
 Result<Connection>
@@ -120,37 +103,32 @@ Connection::connectStart(const std::string& host, std::uint16_t port)
     Result<sockaddr_in> addr = resolve(host, port);
     if (!addr)
         return addr.error();
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
+    UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    if (!fd.valid())
         return Error{ErrorCode::InvalidArgument,
                      strCat("socket(): ", errnoText())};
-    if (!setNonBlocking(fd)) {
-        ::close(fd);
+    if (!setNonBlocking(fd.get()))
         return Error{ErrorCode::InvalidArgument,
                      "cannot make socket non-blocking"};
-    }
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
+    if (::connect(fd.get(),
+                  reinterpret_cast<const sockaddr*>(&addr.value()),
                   sizeof(addr.value())) != 0 &&
-        errno != EINPROGRESS) {
-        const std::string text = errnoText();
-        ::close(fd);
+        errno != EINPROGRESS)
         return Error{ErrorCode::Unavailable,
                      strCat("cannot connect to ", host, ':', port, ": ",
-                            text)};
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return Connection(fd, strCat(host, ':', port));
+                            errnoText())};
+    setNoDelay(fd.get());
+    return Connection(std::move(fd), strCat(host, ':', port));
 }
 
 Result<bool>
 Connection::finishConnect()
 {
-    if (fd_ < 0)
+    if (!valid())
         return Error{ErrorCode::Unavailable, "connection not open"};
     int err = 0;
     socklen_t len = sizeof(err);
-    if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) != 0)
+    if (::getsockopt(fd(), SOL_SOCKET, SO_ERROR, &err, &len) != 0)
         err = errno;
     if (err != 0) {
         close();
@@ -164,9 +142,9 @@ Connection::finishConnect()
 IoResult
 Connection::readSome(char* buf, std::size_t cap)
 {
-    if (fd_ < 0)
+    if (!valid())
         return {IoStatus::Error, 0};
-    const ssize_t n = ::read(fd_, buf, cap);
+    const ssize_t n = ::read(fd(), buf, cap);
     if (n > 0)
         return {IoStatus::Ok, static_cast<std::size_t>(n)};
     if (n == 0)
@@ -179,11 +157,11 @@ Connection::readSome(char* buf, std::size_t cap)
 IoResult
 Connection::writeSome(const char* buf, std::size_t len)
 {
-    if (fd_ < 0)
+    if (!valid())
         return {IoStatus::Error, 0};
     // MSG_NOSIGNAL: a peer that closed mid-write must produce EPIPE,
     // not a process-killing SIGPIPE.
-    const ssize_t n = ::send(fd_, buf, len, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd(), buf, len, MSG_NOSIGNAL);
     if (n >= 0)
         return {IoStatus::Ok, static_cast<std::size_t>(n)};
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
@@ -191,39 +169,7 @@ Connection::writeSome(const char* buf, std::size_t len)
     return {IoStatus::Error, 0};
 }
 
-void
-Connection::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
 // ---- TcpListener --------------------------------------------------------
-
-TcpListener::~TcpListener()
-{
-    close();
-}
-
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(other.fd_), port_(other.port_)
-{
-    other.fd_ = -1;
-}
-
-TcpListener&
-TcpListener::operator=(TcpListener&& other) noexcept
-{
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        port_ = other.port_;
-        other.fd_ = -1;
-    }
-    return *this;
-}
 
 Result<TcpListener>
 TcpListener::bind(const std::string& host, std::uint16_t port,
@@ -232,7 +178,9 @@ TcpListener::bind(const std::string& host, std::uint16_t port,
     Result<sockaddr_in> addr = resolve(host, port);
     if (!addr)
         return addr.error();
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    TcpListener listener;
+    listener.fd_ = UniqueFd(::socket(AF_INET, SOCK_STREAM, 0));
+    const int fd = listener.fd();
     if (fd < 0)
         return Error{ErrorCode::InvalidArgument,
                      strCat("socket(): ", errnoText())};
@@ -240,15 +188,10 @@ TcpListener::bind(const std::string& host, std::uint16_t port,
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
                sizeof(addr.value())) != 0 ||
-        ::listen(fd, backlog) != 0 || !setNonBlocking(fd)) {
-        const std::string text = errnoText();
-        ::close(fd);
+        ::listen(fd, backlog) != 0 || !setNonBlocking(fd))
         return Error{ErrorCode::InvalidArgument,
                      strCat("cannot listen on ", host, ':', port, ": ",
-                            text)};
-    }
-    TcpListener listener;
-    listener.fd_ = fd;
+                            errnoText())};
     // Read the bound port back: with port 0 the kernel picked one.
     sockaddr_in bound{};
     socklen_t bound_len = sizeof(bound);
@@ -263,30 +206,17 @@ TcpListener::bind(const std::string& host, std::uint16_t port,
 Connection
 TcpListener::accept()
 {
-    if (fd_ < 0)
+    if (!valid())
         return Connection();
     sockaddr_in peer{};
     socklen_t peer_len = sizeof(peer);
-    const int fd =
-        ::accept(fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (fd < 0)
-        return Connection();  // WouldBlock and hard errors alike.
-    if (!setNonBlocking(fd)) {
-        ::close(fd);
+    UniqueFd fd(
+        ::accept(fd_.get(), reinterpret_cast<sockaddr*>(&peer), &peer_len));
+    // WouldBlock and hard errors alike.
+    if (!fd.valid() || !setNonBlocking(fd.get()))
         return Connection();
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return Connection(fd, peerLabel(peer));
-}
-
-void
-TcpListener::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
+    setNoDelay(fd.get());
+    return Connection(std::move(fd), peerLabel(peer));
 }
 
 }  // namespace ftsim

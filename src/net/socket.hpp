@@ -8,6 +8,7 @@
  * Two small RAII types wrap the raw socket API the way `common/table`
  * wraps formatting: no external library, no exceptions on the data
  * path, everything a `Result` or a status enum the caller branches on.
+ * Both own their fd through `UniqueFd`.
  *
  *  - `TcpListener` binds/listens on a host:port (port 0 = ephemeral;
  *    `port()` reports the kernel's pick) and accepts non-blocking
@@ -34,6 +35,37 @@
 
 namespace ftsim {
 
+/** Owns one fd: move-only, closed on destruction or reset(). */
+class UniqueFd {
+  public:
+    UniqueFd() = default;
+    explicit UniqueFd(int fd) : fd_(fd) {}
+    ~UniqueFd() { reset(); }
+
+    UniqueFd(UniqueFd&& other) noexcept
+        : fd_(std::exchange(other.fd_, -1))
+    {
+    }
+    UniqueFd& operator=(UniqueFd&& other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            fd_ = std::exchange(other.fd_, -1);
+        }
+        return *this;
+    }
+
+    bool valid() const { return fd_ >= 0; }
+
+    int get() const { return fd_; }
+
+    /** Closes the fd now (safe to call again). */
+    void reset();
+
+  private:
+    int fd_ = -1;
+};
+
 /** Outcome of one non-blocking read/write attempt. */
 enum class IoStatus {
     Ok,          ///< `bytes` were transferred (> 0).
@@ -52,14 +84,11 @@ struct IoResult {
 class Connection {
   public:
     Connection() = default;
-    /** Adopts @p fd (takes ownership). @p peer is a display label. */
-    Connection(int fd, std::string peer);
-    ~Connection();
-
-    Connection(Connection&& other) noexcept;
-    Connection& operator=(Connection&& other) noexcept;
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
+    /** Adopts @p fd. @p peer is a display label. */
+    Connection(UniqueFd fd, std::string peer)
+        : fd_(std::move(fd)), peer_(std::move(peer))
+    {
+    }
 
     /**
      * Blocking connect to @p host:@p port (numeric IPv4 or a name
@@ -88,9 +117,9 @@ class Connection {
     Result<bool> finishConnect();
 
     /** True while the fd is open. */
-    bool valid() const { return fd_ >= 0; }
+    bool valid() const { return fd_.valid(); }
 
-    int fd() const { return fd_; }
+    int fd() const { return fd_.get(); }
 
     /** "ip:port" of the remote end (best effort). */
     const std::string& peer() const { return peer_; }
@@ -102,24 +131,16 @@ class Connection {
     IoResult writeSome(const char* buf, std::size_t len);
 
     /** Closes the fd now (destructor-safe to call again). */
-    void close();
+    void close() { fd_.reset(); }
 
   private:
-    int fd_ = -1;
+    UniqueFd fd_;
     std::string peer_;
 };
 
 /** Listening TCP socket; accepts non-blocking Connections. */
 class TcpListener {
   public:
-    TcpListener() = default;
-    ~TcpListener();
-
-    TcpListener(TcpListener&& other) noexcept;
-    TcpListener& operator=(TcpListener&& other) noexcept;
-    TcpListener(const TcpListener&) = delete;
-    TcpListener& operator=(const TcpListener&) = delete;
-
     /**
      * Binds and listens on @p host:@p port with SO_REUSEADDR. Port 0
      * asks the kernel for an ephemeral port — read it back via
@@ -130,9 +151,9 @@ class TcpListener {
                                     std::uint16_t port,
                                     int backlog = 128);
 
-    bool valid() const { return fd_ >= 0; }
+    bool valid() const { return fd_.valid(); }
 
-    int fd() const { return fd_; }
+    int fd() const { return fd_.get(); }
 
     /** The bound port (the kernel's pick when bind asked for 0). */
     std::uint16_t port() const { return port_; }
@@ -146,10 +167,10 @@ class TcpListener {
     Connection accept();
 
     /** Stops listening (closes the fd; pending connects are reset). */
-    void close();
+    void close() { fd_.reset(); }
 
   private:
-    int fd_ = -1;
+    UniqueFd fd_;
     std::uint16_t port_ = 0;
 };
 

@@ -431,7 +431,6 @@ PlanService::plannerFor(const PlanRequest& request)
     auto planner = std::make_shared<Planner>(request.scenario,
                                              std::move(catalog),
                                              registry_);
-    planner->setParallelism(config_.plannerParallelism);
     // Cell-level bind: we hold planners_mutex_, so the registry mutex
     // must not be taken here (the snapshot provider acquires them in
     // the opposite order).

@@ -83,9 +83,6 @@ namespace ftsim {
 struct ServiceConfig {
     /** Worker threads draining the admission queue; 0 = hardware. */
     unsigned workers = 0;
-    /** Threads each planner may use for its own fan-outs. Keep at 1
-     *  when workers saturate the machine already (the default). */
-    unsigned plannerParallelism = 1;
     /** Base price list; request `rates` extend a copy per planner. */
     CloudCatalog catalog = CloudCatalog::cudoCompute();
     /** Upper edge of the latency histogram (10s of headroom). */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the Planner facade: Result error paths, memoization
- * semantics (the costTable + report dedup guarantee), parallel fan-out
- * equivalence, and agreement with the legacy pipeline shims.
+ * semantics (the costTable + report dedup guarantee), and the step
+ * cache's once-semantics under concurrent callers.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "core/planner.hpp"
 
 namespace ftsim {
@@ -147,30 +146,6 @@ TEST(Planner, CostTablePlusReportPerformsNoDuplicateSimulations)
     EXPECT_EQ(final_stats.stepCacheMisses, after_report.stepCacheMisses);
 }
 
-TEST(Planner, ParallelCostTableMatchesSerial)
-{
-    Planner serial(Scenario::gsMath());
-    Planner parallel(Scenario::gsMath());
-    parallel.setParallelism(4);
-
-    auto serial_rows = serial.costTable(GpuSpec::paperGpus());
-    auto parallel_rows = parallel.costTable(GpuSpec::paperGpus());
-    ASSERT_TRUE(serial_rows.ok());
-    ASSERT_TRUE(parallel_rows.ok());
-    ASSERT_EQ(serial_rows.value().size(), parallel_rows.value().size());
-    for (std::size_t i = 0; i < serial_rows.value().size(); ++i) {
-        const CostRow& s = serial_rows.value()[i];
-        const CostRow& p = parallel_rows.value()[i];
-        EXPECT_EQ(s.gpuName, p.gpuName);
-        EXPECT_EQ(s.maxBatchSize, p.maxBatchSize);
-        EXPECT_DOUBLE_EQ(s.throughputQps, p.throughputQps);
-        EXPECT_DOUBLE_EQ(s.totalDollars, p.totalDollars);
-    }
-    // Threading must not defeat the cache either.
-    PlannerStats stats = parallel.stats();
-    EXPECT_EQ(stats.stepsSimulated, stats.stepCacheMisses);
-}
-
 TEST(Planner, ProfileMatchesReferenceSimulatorBitExact)
 {
     // The acceptance bar for the compiled-plan rewrite: every simulated
@@ -257,26 +232,6 @@ TEST(Planner, ConcurrentSameGpuStressKeepsCacheInvariants)
               static_cast<std::uint64_t>(kThreads * kRounds * 2));
 }
 
-TEST(Planner, ParallelObservationsMatchSerialBitExact)
-{
-    Planner serial(Scenario::gsMath());
-    Planner parallel(Scenario::gsMath());
-    parallel.setParallelism(8);
-    auto s = serial.throughputObservations(GpuSpec::a40());
-    auto p = parallel.throughputObservations(GpuSpec::a40());
-    ASSERT_TRUE(s.ok());
-    ASSERT_TRUE(p.ok());
-    ASSERT_EQ(s.value().size(), p.value().size());
-    for (std::size_t i = 0; i < s.value().size(); ++i) {
-        EXPECT_EQ(s.value()[i].batchSize, p.value()[i].batchSize);
-        EXPECT_EQ(s.value()[i].sparsity, p.value()[i].sparsity);
-        EXPECT_EQ(s.value()[i].qps, p.value()[i].qps);
-    }
-    // The parallel sweep must not defeat the cache either.
-    PlannerStats stats = parallel.stats();
-    EXPECT_EQ(stats.stepsSimulated, stats.stepCacheMisses);
-}
-
 TEST(Planner, CheapestPlanIsH100)
 {
     // Table IV headline: H100 wins end-to-end despite the highest rate.
@@ -284,23 +239,6 @@ TEST(Planner, CheapestPlanIsH100)
     Result<CostRow> best = planner.cheapestPlan(GpuSpec::paperGpus());
     ASSERT_TRUE(best.ok());
     EXPECT_EQ(best.value().gpuName, "H100");
-}
-
-TEST(Planner, AgreesWithLegacyPipelineShims)
-{
-    Planner planner(Scenario::gsMath());
-    auto planner_rows = planner.costTable(GpuSpec::paperGpus());
-    ASSERT_TRUE(planner_rows.ok());
-    auto legacy_rows = ExperimentPipeline::costTable(
-        ModelSpec::mixtral8x7b(), GpuSpec::paperGpus(),
-        CloudCatalog::cudoCompute(), 148, true, 14000.0, 10.0);
-    ASSERT_EQ(planner_rows.value().size(), legacy_rows.size());
-    for (std::size_t i = 0; i < legacy_rows.size(); ++i) {
-        EXPECT_EQ(planner_rows.value()[i].gpuName,
-                  legacy_rows[i].gpuName);
-        EXPECT_DOUBLE_EQ(planner_rows.value()[i].totalDollars,
-                         legacy_rows[i].totalDollars);
-    }
 }
 
 TEST(Planner, FitThroughputIsCached)

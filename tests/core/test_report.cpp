@@ -1,20 +1,29 @@
 /**
  * @file
- * Tests for the one-call characterization report.
+ * Tests for the one-call characterization report (`Planner::report`).
  */
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hpp"
-#include "core/report.hpp"
+#include "core/planner.hpp"
 
 namespace ftsim {
 namespace {
 
+/** The report for @p scenario on @p gpu; empty when it failed. */
+std::string
+reportFor(const Scenario& scenario, const GpuSpec& gpu)
+{
+    Planner planner(scenario);
+    Result<std::string> report = planner.report(gpu);
+    EXPECT_TRUE(report.ok()) << report.error().describe();
+    return report.valueOr("");
+}
+
 TEST(Report, ContainsEverySection)
 {
-    ReportRequest request;  // Defaults: Mixtral on A40, GS-like dataset.
-    std::string report = generateCharacterizationReport(request);
+    // Defaults: Mixtral on A40, GS-like dataset.
+    std::string report = reportFor(Scenario::gsMath(), GpuSpec::a40());
     for (const char* expected :
          {"# Fine-tuning characterization", "## Memory",
           "maximum batch size: 4", "## Step breakdown", "matmul",
@@ -25,40 +34,39 @@ TEST(Report, ContainsEverySection)
 
 TEST(Report, BlackMambaVariant)
 {
-    ReportRequest request;
-    request.model = ModelSpec::blackMamba2p8b();
-    request.medianSeqLen = 79;
-    request.lengthSigma = 0.45;
-    std::string report = generateCharacterizationReport(request);
+    std::string report = reportFor(Scenario{}
+                                       .withModel(ModelSpec::blackMamba2p8b())
+                                       .withMedianSeqLen(79)
+                                       .withLengthSigma(0.45),
+                                   GpuSpec::a40());
     EXPECT_NE(report.find("BlackMamba-2.8B"), std::string::npos);
     EXPECT_NE(report.find("maximum batch size: 20"), std::string::npos);
 }
 
 TEST(Report, UnpricedGpuStillReports)
 {
-    ReportRequest request;
-    request.model = ModelSpec::blackMamba2p8b();
-    request.gpu = GpuSpec::a100_40();  // Not in the CUDO catalog.
-    request.medianSeqLen = 79;
-    std::string report = generateCharacterizationReport(request);
+    // A100-40GB is not in the CUDO catalog.
+    std::string report = reportFor(Scenario{}
+                                       .withModel(ModelSpec::blackMamba2p8b())
+                                       .withMedianSeqLen(79),
+                                   GpuSpec::a100_40());
     EXPECT_NE(report.find("no price listed"), std::string::npos);
 }
 
-TEST(Report, OversizedModelIsFatal)
+TEST(Report, OversizedModelIsAnError)
 {
-    ReportRequest request;
-    request.gpu.memGB = 24.0;  // Mixtral cannot fit.
-    EXPECT_THROW(generateCharacterizationReport(request), FatalError);
+    GpuSpec gpu = GpuSpec::a40();
+    gpu.memGB = 24.0;  // Mixtral cannot fit.
+    Planner planner(Scenario::gsMath());
+    EXPECT_EQ(planner.report(gpu).code(), ErrorCode::DoesNotFit);
 }
 
 TEST(Report, DenseModeReportsSmallerBatch)
 {
-    ReportRequest sparse_req;
-    ReportRequest dense_req;
-    dense_req.sparse = false;
     std::string sparse_report =
-        generateCharacterizationReport(sparse_req);
-    std::string dense_report = generateCharacterizationReport(dense_req);
+        reportFor(Scenario::gsMath(), GpuSpec::a40());
+    std::string dense_report =
+        reportFor(Scenario::gsMath().withSparse(false), GpuSpec::a40());
     EXPECT_NE(sparse_report.find("maximum batch size: 4"),
               std::string::npos);
     EXPECT_NE(dense_report.find("maximum batch size: 1"),

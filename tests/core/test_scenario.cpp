@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
 #include "core/scenario.hpp"
 
 namespace ftsim {
@@ -37,21 +36,6 @@ TEST(Scenario, CommonsensePresetMatchesPaperTableII)
     Scenario s = Scenario::commonsense15k();
     EXPECT_EQ(s.medianSeqLen, 79u);
     EXPECT_DOUBLE_EQ(s.numQueries, 15000.0);
-}
-
-TEST(Scenario, PipelineDefaultSigmaIsTheScenarioConstant)
-{
-    // The seed duplicated the sigma default (0.45 in one entry point,
-    // 0.40 in another); the shims must now share the one constant.
-    // Equal sigma -> equal padded lengths -> identical sweep output.
-    const ModelSpec model = ModelSpec::blackMamba2p8b();
-    auto implicit_sigma = ExperimentPipeline::collectThroughputData(
-        model, GpuSpec::a40(), 79);
-    auto explicit_sigma = ExperimentPipeline::collectThroughputData(
-        model, GpuSpec::a40(), 79, {}, Scenario::kDefaultLengthSigma);
-    ASSERT_EQ(implicit_sigma.size(), explicit_sigma.size());
-    for (std::size_t i = 0; i < implicit_sigma.size(); ++i)
-        EXPECT_DOUBLE_EQ(implicit_sigma[i].qps, explicit_sigma[i].qps);
 }
 
 TEST(Scenario, FluentSettersCompose)

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include "core/planner.hpp"
 #include "data/batching.hpp"
 #include "train/imbalance.hpp"
 #include "train/pretrain.hpp"
@@ -96,15 +96,14 @@ TEST(EndToEnd, AnalyticalPipelineMatchesSimulatorThroughput)
 {
     // §V validation loop: fit Eq. 2 on the simulator, then check that
     // predictions at held-out batch sizes stay close to the simulator.
-    ModelSpec spec = ModelSpec::mixtral8x7b();
-    GpuSpec gpu = GpuSpec::a40();
-    ThroughputFit fit =
-        ExperimentPipeline::fitThroughput(spec, gpu, 148);
-    FineTuneSim sim(spec, gpu);
+    Planner planner(Scenario::gsMath());
+    Result<ThroughputFit> fit = planner.fitThroughput(GpuSpec::a40());
+    ASSERT_TRUE(fit.ok());
     // Interpolated, non-integer batch behaviour is smooth; check the
     // model at swept points directly.
-    for (const auto& obs : fit.observations) {
-        double predicted = fit.model.predict(obs.batchSize, obs.sparsity);
+    for (const auto& obs : fit.value().observations) {
+        double predicted =
+            fit.value().model.predict(obs.batchSize, obs.sparsity);
         EXPECT_NEAR(predicted, obs.qps, 0.8);
     }
 }
@@ -112,11 +111,12 @@ TEST(EndToEnd, AnalyticalPipelineMatchesSimulatorThroughput)
 TEST(EndToEnd, CostPipelineEndToEnd)
 {
     // Table IV + OpenOrca projection recipe.
-    auto rows = ExperimentPipeline::costTable(
-        ModelSpec::mixtral8x7b(), GpuSpec::paperGpus(),
-        CloudCatalog::cudoCompute(), 148, true, 14000.0, 10.0);
-    ASSERT_EQ(rows.size(), 3u);  // A40, A100-80GB, H100 priced.
-    for (const auto& row : rows) {
+    Planner planner(Scenario::gsMath());
+    Result<std::vector<CostRow>> rows =
+        planner.costTable(GpuSpec::paperGpus());
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 3u);  // A40, A100-80GB, H100 priced.
+    for (const auto& row : rows.value()) {
         EXPECT_GT(row.maxBatchSize, 0);
         EXPECT_GT(row.throughputQps, 0.0);
         EXPECT_GT(row.totalDollars, 0.0);

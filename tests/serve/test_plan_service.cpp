@@ -13,9 +13,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "core/planner.hpp"
 #include "serve/plan_service.hpp"
 
@@ -32,6 +35,43 @@ throughputRequest(const std::string& gpu,
     req.scenario = scenario;
     return req;
 }
+
+/**
+ * A ServiceConfig::clock that parks every thread but the one that
+ * built it until open(). A worker reads the clock after execute() and
+ * before finishExecution() frees the request's tenant slots, so while
+ * the gate is shut an admitted request holds its slots for as long as
+ * the test needs. Open the gate before the service is destroyed: its
+ * destructor joins the parked workers.
+ */
+class WorkerGate {
+  public:
+    std::function<double()> clock()
+    {
+        return [this] {
+            if (std::this_thread::get_id() != owner_) {
+                std::unique_lock<std::mutex> lock(mutex_);
+                opened_.wait(lock, [this] { return open_; });
+            }
+            return monotonicMs();
+        };
+    }
+
+    void open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            open_ = true;
+        }
+        opened_.notify_all();
+    }
+
+  private:
+    const std::thread::id owner_ = std::this_thread::get_id();
+    std::mutex mutex_;
+    std::condition_variable opened_;
+    bool open_ = false;
+};
 
 TEST(PlanService, ThunderingHerdSimulatesEachDistinctConfigOnce)
 {
@@ -435,29 +475,32 @@ TEST(PlanService, TokenBucketRejectsPerTenantIndependently)
 
 TEST(PlanService, InflightGateCapsConcurrentRequestsPerTenant)
 {
-    // One worker, inflight limit 1: the first (slow, report-sized)
-    // request occupies the tenant's only slot; duplicates submitted
-    // while it runs are rejected, and the slot frees once it answers.
+    // One worker, inflight limit 1: the first request occupies the
+    // tenant's only slot; requests submitted while it runs are
+    // rejected, and the slot frees once it answers.
+    WorkerGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantMaxInflight = 1;
+    config.clock = gate.clock();
     PlanService service(config);
 
     PlanRequest heavy;
-    heavy.query = QueryKind::Report;  // Sweep + fits: >> submit cost.
+    heavy.query = QueryKind::Report;
     heavy.gpu = "A40";
     heavy.tenant = "carol";
 
     std::shared_future<PlanResponse> slow = service.submit(heavy);
 
-    // Submitted microseconds into a report-sized execution: the slot
-    // is still held, so a second (distinct) request bounces.
+    // The gate holds the first request's worker, so its slot is still
+    // taken and a second (distinct) request bounces.
     PlanRequest second = throughputRequest("A40");
     second.tenant = "carol";
     const PlanResponse bounced = service.submit(second).get();
     EXPECT_FALSE(bounced.ok);
     EXPECT_EQ(bounced.errorCode, "RateLimited");
 
+    gate.open();
     EXPECT_TRUE(slow.get().ok);
     // The answer resolved, so the slot is free again — and the retry
     // coalesces onto the cached report without consuming new work.
@@ -476,9 +519,11 @@ TEST(PlanService, CoalescedDuplicatesHoldInflightSlotsUntilAnswered)
     // Duplicates coalesce onto one execution but each admitted copy
     // holds its own tenant slot until the shared answer resolves —
     // otherwise a tenant could multiply pressure through duplicates.
+    WorkerGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantMaxInflight = 2;
+    config.clock = gate.clock();
     PlanService service(config);
 
     PlanRequest heavy;
@@ -492,6 +537,7 @@ TEST(PlanService, CoalescedDuplicatesHoldInflightSlotsUntilAnswered)
     EXPECT_FALSE(third.ok);  // Two slots held by the shared execution.
     EXPECT_EQ(third.errorCode, "RateLimited");
 
+    gate.open();
     EXPECT_TRUE(first.get().ok);
     EXPECT_TRUE(duplicate.get().ok);
     const ServiceStats stats = service.stats();
@@ -524,14 +570,16 @@ TEST(PlanService, FullTenantTableOfBusyTenantsRejectsNewNames)
 {
     // When every tracked tenant has work in flight, there is nothing
     // safe to evict: a fresh name is rejected instead of tracked.
+    WorkerGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantRps = 1e9;
     config.maxTenants = 1;
+    config.clock = gate.clock();
     PlanService service(config);
 
     PlanRequest heavy;
-    heavy.query = QueryKind::Report;  // Holds its slot while running.
+    heavy.query = QueryKind::Report;  // Held by the gate while running.
     heavy.gpu = "A40";
     heavy.tenant = "resident";
     std::shared_future<PlanResponse> slow = service.submit(heavy);
@@ -542,6 +590,7 @@ TEST(PlanService, FullTenantTableOfBusyTenantsRejectsNewNames)
     EXPECT_FALSE(bounced.ok);
     EXPECT_EQ(bounced.errorCode, "RateLimited");
 
+    gate.open();
     EXPECT_TRUE(slow.get().ok);
     // Resident is idle now: the newcomer takes its slot.
     EXPECT_TRUE(service.ask(newcomer).ok);
