@@ -8,8 +8,9 @@
  * sweep through the retained pre-optimization reference path
  * (`profileStepReference`, which rebuilds the KernelDesc workload per
  * query exactly as the code before the compiled-plan PR did). Results
- * are written to BENCH_planner.json so CI can track the repo's perf
- * trajectory over time (no thresholds yet — trajectory only).
+ * are written to BENCH_planner.json. Each speedup is the median of
+ * paired, order-alternating trials (`bench::measure`), recorded with
+ * its p10/p90 spread; tools/bench_check.py gates the median.
  *
  * Reading the speedups: cold-vs-reference isolates the compiled-plan
  * rewrite alone; warm-vs-reference additionally includes the planner's
@@ -18,7 +19,6 @@
  * Usage: bench_perf_planner [output.json]   (default: BENCH_planner.json)
  */
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -32,28 +32,13 @@ using namespace ftsim;
 
 namespace {
 
-using bench::nowMs;
-
-/**
- * Best-of-@p reps wall time of @p inner consecutive runs of @p body,
- * in milliseconds per run. The inner loop amortizes clock granularity
- * (a full-catalog sweep is sub-millisecond once compiled).
- */
-template <typename F>
-double
-bestOfMs(int reps, int inner, F&& body)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const double start = nowMs();
-        for (int i = 0; i < inner; ++i)
-            body();
-        const double elapsed = (nowMs() - start) / inner;
-        if (r == 0 || elapsed < best)
-            best = elapsed;
-    }
-    return best;
-}
+/** Paired trials per ratio. Each trial times kInner calls per side (a
+ *  full-catalog sweep is sub-millisecond once compiled), or kWarmInner
+ *  when a side is a warm, microsecond-scale lookup: its first call
+ *  after the other side's cache churn must not dominate the mean. */
+constexpr int kTrials = 15;
+constexpr int kInner = 20;
+constexpr int kWarmInner = 200;
 
 }  // namespace
 
@@ -77,7 +62,7 @@ main(int argc, char** argv)
     // retained reference path (per-query workload rebuild, no caching)
     // — the exact work the planner performed before this optimization.
     std::size_t sweep_points = 0;
-    const double reference_sweep_ms = bestOfMs(3, 20, [&] {
+    auto reference_sweep = [&] {
         sweep_points = 0;
         for (const GpuSpec& gpu : gpus) {
             FineTuneSim sim(scenario.model, gpu, scenario.calibration);
@@ -89,42 +74,51 @@ main(int argc, char** argv)
                 ++sweep_points;
             }
         }
-    });
+    };
 
     // --- Compiled-plan path, serial, cache cold. ----------------------
-    const double cold_sweep_serial_ms = bestOfMs(3, 20, [&] {
+    auto cold_sweep_serial = [&] {
         Planner planner(scenario);
         for (const GpuSpec& gpu : gpus)
             planner.throughputObservations(gpu);
-    });
+    };
 
     // --- Warm sweep: planner cache populated. -------------------------
     Planner warm(scenario);
     for (const GpuSpec& gpu : gpus)
         warm.throughputObservations(gpu);
-    const double warm_sweep_ms = bestOfMs(5, 200, [&] {
+    auto warm_sweep = [&] {
         for (const GpuSpec& gpu : gpus)
             warm.throughputObservations(gpu);
-    });
+    };
 
     // --- Cost table / cheapest plan. ----------------------------------
-    const double cold_cost_table_ms = bestOfMs(3, 20, [&] {
+    auto cold_cost_table = [&] {
         Planner planner(scenario);
         planner.costTable(gpus);
-    });
-    const double warm_cost_table_ms =
-        bestOfMs(5, 200, [&] { warm.costTable(gpus); });
-    const double warm_cheapest_plan_ms =
-        bestOfMs(5, 200, [&] { warm.cheapestPlan(gpus); });
+    };
+    auto warm_cost_table = [&] { warm.costTable(gpus); };
+    auto warm_cheapest_plan = [&] { warm.cheapestPlan(gpus); };
+
+    const bench::Paired cold_vs_ref =
+        bench::measure(kTrials, kInner, reference_sweep, cold_sweep_serial);
+    const bench::Paired warm_vs_ref =
+        bench::measure(kTrials, kWarmInner, reference_sweep, warm_sweep);
+    const bench::Paired cost_table =
+        bench::measure(kTrials, kInner, cold_cost_table, warm_cost_table);
+    const bench::Paired cheapest = bench::measure(
+        kTrials, kWarmInner, warm_cost_table, warm_cheapest_plan);
+
+    const double reference_sweep_ms = cold_vs_ref.baselineMs;
+    const double cold_sweep_serial_ms = cold_vs_ref.candidateMs;
+    const double warm_sweep_ms = warm_vs_ref.candidateMs;
+    const double cold_cost_table_ms = cost_table.baselineMs;
+    const double warm_cost_table_ms = cost_table.candidateMs;
+    const double warm_cheapest_plan_ms = cheapest.candidateMs;
+    const double warm_speedup = warm_vs_ref.median;
+    const double cold_serial_speedup = cold_vs_ref.median;
 
     const PlannerStats stats = warm.stats();
-
-    const double warm_speedup =
-        warm_sweep_ms > 0.0 ? reference_sweep_ms / warm_sweep_ms : 0.0;
-    const double cold_serial_speedup =
-        cold_sweep_serial_ms > 0.0
-            ? reference_sweep_ms / cold_sweep_serial_ms
-            : 0.0;
 
     bench::section("Full-catalog throughput sweep (" +
                    std::to_string(sweep_points) + " configs, " +
@@ -132,10 +126,10 @@ main(int argc, char** argv)
     std::cout << "reference (pre-PR per-query rebuild): "
               << reference_sweep_ms << " ms\n"
               << "cold, compiled plans, serial:         "
-              << cold_sweep_serial_ms << " ms  (" << cold_serial_speedup
-              << "x)\n"
+              << cold_sweep_serial_ms << " ms  ("
+              << bench::spreadText(cold_vs_ref) << ")\n"
               << "warm (memoized):                      " << warm_sweep_ms
-              << " ms  (" << warm_speedup << "x)\n";
+              << " ms  (" << bench::spreadText(warm_vs_ref) << ")\n";
     bench::note("cold ratios isolate the compiled-plan rewrite; the "
                 "warm ratio also includes the PR-1 step cache");
 
@@ -167,6 +161,12 @@ main(int argc, char** argv)
         << "  \"speedups_vs_reference\": {\n"
         << "    \"warm_sweep\": " << warm_speedup << ",\n"
         << "    \"cold_sweep_serial\": " << cold_serial_speedup << "\n"
+        << "  },\n"
+        << "  \"spread\": {\n"
+        << "    \"warm_sweep\": " << bench::spreadJson(warm_vs_ref)
+        << ",\n"
+        << "    \"cold_sweep_serial\": "
+        << bench::spreadJson(cold_vs_ref) << "\n"
         << "  },\n"
         << "  \"planner_stats\": {\n"
         << "    \"step_cache_hits\": " << stats.stepCacheHits << ",\n"

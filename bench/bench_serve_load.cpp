@@ -17,23 +17,20 @@
  * Both paths must produce bit-identical answers; the bench verifies
  * that, emits BENCH_serve.json for trend tracking, and exits non-zero
  * if the coalesced service is *slower* than the serial baseline (the
- * ci.sh perf-smoke gate). The ISSUE-3 acceptance floor is 5x on this
- * 256-request trace.
- *
- * A second, eviction-pressure trace (ISSUE-4) replays more distinct
- * questions than a capacity-bounded service can cache, twice, and
- * asserts the governance invariants: the answer cache never exceeds
- * its configured capacity (peak-size audit), eviction actually
- * happened, and every answer stays bit-identical to an unbounded
- * service's — eviction may cost recomputation, never correctness.
+ * ci.sh perf-smoke gate). The speedup is the median of paired,
+ * order-alternating trials (`bench::measure`), each on fresh state: a
+ * new `PlanService` per coalesced trial. The acceptance floor is 5x
+ * on this 256-request trace. The capacity-bounded (eviction) side of
+ * the service is asserted by the PlanService unit tests, not timed
+ * here.
  *
  * Usage: bench_serve_load [output.json]   (default: BENCH_serve.json)
  */
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -47,7 +44,8 @@ using namespace ftsim;
 
 namespace {
 
-using bench::nowMs;
+/** Paired trials; the serial side replays 256 fresh planners each. */
+constexpr int kTrials = 9;
 
 GpuSpec
 gpuByName(const std::string& name)
@@ -208,92 +206,52 @@ main(int argc, char** argv)
 
     // ---- Serial baseline: one fresh Planner per request. ------------
     std::vector<PlanResponse> serial_answers;
-    serial_answers.reserve(trace.size());
-    const double serial_start = nowMs();
-    for (const PlanRequest& request : trace)
-        serial_answers.push_back(answerNaive(request));
-    const double serial_ms = nowMs() - serial_start;
+    auto serial = [&] {
+        serial_answers.clear();
+        for (const PlanRequest& request : trace)
+            serial_answers.push_back(answerNaive(request));
+    };
 
-    // ---- Coalesced PlanService. -------------------------------------
-    PlanService service;  // Default: hardware workers, CUDO catalog.
-    std::vector<std::shared_future<PlanResponse>> futures;
-    futures.reserve(trace.size());
-    const double coalesced_start = nowMs();
-    for (const PlanRequest& request : trace)
-        futures.push_back(service.submit(request));
-    std::vector<PlanResponse> coalesced_answers;
-    coalesced_answers.reserve(trace.size());
-    for (auto& future : futures)
-        coalesced_answers.push_back(future.get());
-    const double coalesced_ms = nowMs() - coalesced_start;
+    // ---- Coalesced: a fresh PlanService per trial. ------------------
+    // Each trial's service outlives its timed call, so teardown and the
+    // stats read below stay out of the timing.
+    std::vector<std::unique_ptr<PlanService>> services;
+    std::vector<std::vector<PlanResponse>> coalesced_answers;
+    auto coalesced = [&] {
+        auto service = std::make_unique<PlanService>();
+        std::vector<std::shared_future<PlanResponse>> futures;
+        futures.reserve(trace.size());
+        for (const PlanRequest& request : trace)
+            futures.push_back(service->submit(request));
+        std::vector<PlanResponse> answers;
+        answers.reserve(trace.size());
+        for (auto& future : futures)
+            answers.push_back(future.get());
+        coalesced_answers.push_back(std::move(answers));
+        services.push_back(std::move(service));
+    };
 
-    // ---- Verify: both servers give bit-identical answers. -----------
+    const bench::Paired timing =
+        bench::measure(kTrials, 1, serial, coalesced);
+    const double speedup = timing.median;
+
+    // ---- Verify: every trial gives the serial answers, bit for bit. -
     std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        if (!sameAnswer(serial_answers[i], coalesced_answers[i]))
-            ++mismatches;
+    for (const std::vector<PlanResponse>& answers : coalesced_answers)
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            if (!sameAnswer(serial_answers[i], answers[i]))
+                ++mismatches;
 
+    // Every trial starts cold, so any one's counters are the trace's.
+    const PlanService& service = *services.back();
     const ServiceStats stats = service.stats();
-    const double speedup =
-        coalesced_ms > 0.0 ? serial_ms / coalesced_ms : 0.0;
-
-    // ---- Eviction pressure: bounded caches vs. an unbounded twin. ---
-    // 64 distinct questions, replayed twice, against a service that can
-    // cache only 16 answers / 8 planners: the second pass recomputes
-    // what the LRU dropped. Deterministic serial replay so the
-    // eviction order (and thus the stats) is reproducible.
-    constexpr std::size_t kDistinctEviction = 64;
-    constexpr std::size_t kMaxAnswers = 16;
-    constexpr std::size_t kMaxPlanners = 8;
-    std::vector<PlanRequest> pressure;
-    for (std::size_t pass = 0; pass < 2; ++pass)
-        for (std::size_t i = 0; i < kDistinctEviction; ++i) {
-            PlanRequest request;
-            request.query = QueryKind::MaxBatch;
-            request.gpu = "A40";
-            // Distinct num_queries -> distinct answer + planner keys
-            // (the answer itself only depends on the memory model, so
-            // the trace stays cheap however large it grows).
-            request.scenario = Scenario::gsMath().withNumQueries(
-                10000.0 + static_cast<double>(i));
-            request.id = strCat("p", pass, "-", i);
-            pressure.push_back(std::move(request));
-        }
-
-    ServiceConfig bounded_config;
-    bounded_config.maxAnswers = kMaxAnswers;
-    bounded_config.maxPlanners = kMaxPlanners;
-    PlanService bounded(bounded_config);
-    PlanService unbounded;
-
-    const double eviction_start = nowMs();
-    std::vector<PlanResponse> bounded_answers;
-    bounded_answers.reserve(pressure.size());
-    for (const PlanRequest& request : pressure)
-        bounded_answers.push_back(bounded.ask(request));
-    const double eviction_ms = nowMs() - eviction_start;
-
-    std::size_t eviction_mismatches = 0;
-    for (std::size_t i = 0; i < pressure.size(); ++i)
-        if (!sameAnswer(bounded_answers[i], unbounded.ask(pressure[i])))
-            ++eviction_mismatches;
-
-    const ServiceStats bounded_stats = bounded.stats();
-    const bool capacity_respected =
-        bounded_stats.answersCachedPeak <= kMaxAnswers &&
-        bounded_stats.answersCached <= kMaxAnswers &&
-        bounded_stats.plannersCached <= kMaxPlanners;
-    // 128 requests over 64 distinct questions with 16 slots must
-    // churn: if nothing was evicted the bound is not actually applied.
-    const bool eviction_exercised = bounded_stats.answersEvicted > 0 &&
-                                    bounded_stats.plannersEvicted > 0;
 
     bench::section("Results");
-    std::cout << "serial (fresh planner per request): " << serial_ms
-              << " ms\n"
+    std::cout << "serial (fresh planner per request): "
+              << timing.baselineMs << " ms\n"
               << "coalesced PlanService (" << service.workers()
-              << " workers):      " << coalesced_ms << " ms  ("
-              << speedup << "x)\n"
+              << " workers):      " << timing.candidateMs << " ms  ("
+              << bench::spreadText(timing) << ")\n"
               << "coalesced=" << stats.coalesced << "/" << stats.requests
               << " requests, executed=" << stats.executed
               << ", planners=" << stats.plannersCreated
@@ -305,22 +263,6 @@ main(int argc, char** argv)
               << "answer mismatches: " << mismatches << '\n';
     bench::note("acceptance floor: coalesced >= 5x serial on this "
                 "duplicate-heavy trace; ci.sh fails below 1x");
-
-    bench::section("Eviction pressure");
-    std::cout << pressure.size() << " requests over "
-              << kDistinctEviction << " distinct questions, caps "
-              << kMaxAnswers << " answers / " << kMaxPlanners
-              << " planners: " << eviction_ms << " ms\n"
-              << "answers cached=" << bounded_stats.answersCached
-              << " peak=" << bounded_stats.answersCachedPeak
-              << " evicted=" << bounded_stats.answersEvicted
-              << "; planners cached=" << bounded_stats.plannersCached
-              << " evicted=" << bounded_stats.plannersEvicted << '\n'
-              << "capacity respected: "
-              << (capacity_respected ? "yes" : "NO") << ", eviction "
-              << "exercised: " << (eviction_exercised ? "yes" : "NO")
-              << ", mismatches vs unbounded: " << eviction_mismatches
-              << '\n';
 
     std::ofstream out(out_path);
     if (!out) {
@@ -334,10 +276,14 @@ main(int argc, char** argv)
         << "  \"tenants\": " << kTenants << ",\n"
         << "  \"workers\": " << service.workers() << ",\n"
         << "  \"timings_ms\": {\n"
-        << "    \"serial\": " << serial_ms << ",\n"
-        << "    \"coalesced\": " << coalesced_ms << "\n"
+        << "    \"serial\": " << timing.baselineMs << ",\n"
+        << "    \"coalesced\": " << timing.candidateMs << "\n"
         << "  },\n"
         << "  \"speedup_coalesced_vs_serial\": " << speedup << ",\n"
+        << "  \"spread\": {\n"
+        << "    \"speedup_coalesced_vs_serial\": "
+        << bench::spreadJson(timing) << "\n"
+        << "  },\n"
         << "  \"answer_mismatches\": " << mismatches << ",\n"
         << "  \"service_stats\": {\n"
         << "    \"requests\": " << stats.requests << ",\n"
@@ -351,24 +297,6 @@ main(int argc, char** argv)
         << "    \"steps_simulated\": " << stats.stepsSimulated << ",\n"
         << "    \"p50_latency_ms\": " << stats.p50LatencyMs << ",\n"
         << "    \"p99_latency_ms\": " << stats.p99LatencyMs << "\n"
-        << "  },\n"
-        << "  \"eviction_pressure\": {\n"
-        << "    \"trace_requests\": " << pressure.size() << ",\n"
-        << "    \"distinct_requests\": " << kDistinctEviction << ",\n"
-        << "    \"max_answers\": " << kMaxAnswers << ",\n"
-        << "    \"max_planners\": " << kMaxPlanners << ",\n"
-        << "    \"timing_ms\": " << eviction_ms << ",\n"
-        << "    \"answers_cached\": " << bounded_stats.answersCached
-        << ",\n"
-        << "    \"answers_cached_peak\": "
-        << bounded_stats.answersCachedPeak << ",\n"
-        << "    \"answers_evicted\": " << bounded_stats.answersEvicted
-        << ",\n"
-        << "    \"planners_cached\": " << bounded_stats.plannersCached
-        << ",\n"
-        << "    \"planners_evicted\": "
-        << bounded_stats.plannersEvicted << ",\n"
-        << "    \"answer_mismatches\": " << eviction_mismatches << "\n"
         << "  }\n"
         << "}\n";
     bench::note("wrote " + out_path);
@@ -382,21 +310,6 @@ main(int argc, char** argv)
         std::cerr << "bench_serve_load: coalesced service slower than "
                      "serial baseline ("
                   << speedup << "x)\n";
-        return 1;
-    }
-    if (!capacity_respected) {
-        std::cerr << "bench_serve_load: bounded service exceeded its "
-                     "configured cache capacity\n";
-        return 1;
-    }
-    if (!eviction_exercised) {
-        std::cerr << "bench_serve_load: eviction trace produced no "
-                     "evictions (bound not applied?)\n";
-        return 1;
-    }
-    if (eviction_mismatches > 0) {
-        std::cerr << "bench_serve_load: bounded answers diverge from "
-                     "the unbounded service\n";
         return 1;
     }
     return 0;

@@ -14,10 +14,13 @@
  *
  * Both paths are pinned bit-identical (step_plan.hpp's sweep
  * contract), so the bench first compares every point and exits
- * non-zero on any mismatch; only then does it time. The speedup ratio
- * is a gated artifact: bench_check.py fails CI if it regresses below
- * tolerance of the checked-in baseline, and the bench itself fails
- * below the 1.5x floor the vectorization was acceptance-tested at.
+ * non-zero on any mismatch; only then does it time. The speedup is
+ * the median of paired, order-alternating trials (`bench::measure`),
+ * recorded with its p10/p90 spread. It is a gated artifact:
+ * bench_check.py fails CI if the median regresses below tolerance of
+ * the checked-in baseline, and the bench itself fails when the median
+ * falls below the 1.5x floor the vectorization was acceptance-tested
+ * at.
  *
  * Usage: bench_sweep [output.json]   (default: BENCH_sweep.json)
  */
@@ -39,25 +42,9 @@ using namespace ftsim;
 
 namespace {
 
-using bench::nowMs;
-
-/** Best-of-@p reps wall time of @p inner consecutive runs of @p body,
- *  in milliseconds per run (same shape as bench_perf_planner). */
-template <typename F>
-double
-bestOfMs(int reps, int inner, F&& body)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const double start = nowMs();
-        for (int i = 0; i < inner; ++i)
-            body();
-        const double elapsed = (nowMs() - start) / inner;
-        if (r == 0 || elapsed < best)
-            best = elapsed;
-    }
-    return best;
-}
+/** Paired trials; each trial times 20 sweeps per side. */
+constexpr int kTrials = 15;
+constexpr int kInner = 20;
 
 /** One (simulator, routing mode, batch ceiling) lane of the catalog. */
 struct SweepLane {
@@ -150,7 +137,7 @@ main(int argc, char** argv)
     }
 
     // --- Timings on the same warm lanes. -----------------------------
-    const double per_batch_ms = bestOfMs(5, 20, [&] {
+    auto per_batch = [&] {
         for (const SweepLane& lane : lanes)
             for (std::size_t b = 1; b <= lane.maxBatch; ++b) {
                 RunConfig c;
@@ -160,16 +147,19 @@ main(int argc, char** argv)
                 c.sparse = lane.sparse;
                 lane.sim->stepSeconds(c);
             }
-    });
-    const double vectorized_ms = bestOfMs(5, 20, [&] {
+    };
+    auto vectorized = [&] {
         for (const SweepLane& lane : lanes)
             lane.sim
                 ->throughputSweep(scenario.medianSeqLen, lane.sparse,
                                   lane.maxBatch, scenario.lengthSigma)
                 .value();
-    });
-    const double speedup =
-        vectorized_ms > 0.0 ? per_batch_ms / vectorized_ms : 0.0;
+    };
+    const bench::Paired timing =
+        bench::measure(kTrials, kInner, per_batch, vectorized);
+    const double per_batch_ms = timing.baselineMs;
+    const double vectorized_ms = timing.candidateMs;
+    const double speedup = timing.median;
 
     bench::section("Full-catalog warm sweep (" +
                    std::to_string(sweep_points) + " points, " +
@@ -177,7 +167,7 @@ main(int argc, char** argv)
                    std::to_string(gpus.size()) + " GPUs)");
     std::cout << "per-batch compiled loop: " << per_batch_ms << " ms\n"
               << "vectorized evaluateSweep: " << vectorized_ms
-              << " ms  (" << speedup << "x)\n"
+              << " ms  (" << bench::spreadText(timing) << ")\n"
               << "bit-identity: " << mismatches << " mismatches over "
               << points_compared << " points\n";
     bench::note("both paths share the warm compiled plans; the ratio "
@@ -205,6 +195,10 @@ main(int argc, char** argv)
         << "  },\n"
         << "  \"speedups\": {\n"
         << "    \"vectorized_vs_per_batch\": " << speedup << "\n"
+        << "  },\n"
+        << "  \"spread\": {\n"
+        << "    \"vectorized_vs_per_batch\": " << bench::spreadJson(timing)
+        << "\n"
         << "  }\n"
         << "}\n";
     bench::note("wrote " + out_path);
@@ -215,7 +209,7 @@ main(int argc, char** argv)
         return 1;
     }
     if (speedup < 1.5) {
-        std::cerr << "FAIL: vectorized sweep speedup " << speedup
+        std::cerr << "FAIL: vectorized sweep median speedup " << speedup
                   << "x below the 1.5x acceptance floor\n";
         return 1;
     }

@@ -10,48 +10,32 @@ cmake -B "$BUILD_DIR" -S .   # Default build type is Release (CMakeLists).
 cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -j)
 
-# Perf smoke: time the planner hot path and emit BENCH_planner.json as
-# a build artifact. Gated against bench/baselines by bench_check below.
+# Perf smokes. Every gated speedup below is the median of paired,
+# order-alternating trials (bench::measure in bench/bench_util.hpp),
+# recorded with its p10/p90 spread; bench_wire's single-shot ratio is
+# the one exception. Exact serving counters (herd coalescing, fleet
+# byte identity, the kill/heal ledger, eviction caps) are asserted by
+# the NetE2E, Router, RouterHeal and PlanService gtests in ctest above;
+# perfbench/ drives the real daemons for throughput.
+
+# Planner perf smoke: time the planner hot path and emit
+# BENCH_planner.json. Gated against bench/baselines by bench_check below.
 "$BUILD_DIR/bench/bench_perf_planner" "$BUILD_DIR/BENCH_planner.json"
 echo "ci.sh: perf smoke artifact at $BUILD_DIR/BENCH_planner.json"
 
 # Sweep perf smoke: time the vectorized 1..max_batch sweep against the
 # per-batch compiled loop on warm plans and emit BENCH_sweep.json. The
 # binary itself fails (non-zero exit) on any vectorized-vs-scalar
-# divergence or a speedup below the 1.5x acceptance floor.
+# divergence or a median speedup below the 1.5x acceptance floor.
 "$BUILD_DIR/bench/bench_sweep" "$BUILD_DIR/BENCH_sweep.json"
 echo "ci.sh: sweep smoke artifact at $BUILD_DIR/BENCH_sweep.json"
 
 # Serve perf smoke: replay the duplicate-heavy multi-tenant trace and
 # emit BENCH_serve.json. The binary itself fails (non-zero exit) when
-# the coalesced PlanService answers the trace slower than the naive
-# one-planner-per-request baseline, or when any answer diverges.
+# the coalesced PlanService's median answers the trace slower than the
+# naive one-planner-per-request baseline, or when any answer diverges.
 "$BUILD_DIR/bench/bench_serve_load" "$BUILD_DIR/BENCH_serve.json"
 echo "ci.sh: serve smoke artifact at $BUILD_DIR/BENCH_serve.json"
-
-# Net soak: 64 concurrent socket connections replay the duplicate-heavy
-# trace against a NetServer and emit BENCH_net.json. The binary fails
-# when any wire answer diverges from the in-process PlanService or the
-# fleet simulates more than distinct-config-many steps.
-"$BUILD_DIR/bench/bench_net_load" "$BUILD_DIR/BENCH_net.json"
-echo "ci.sh: net soak artifact at $BUILD_DIR/BENCH_net.json"
-
-# Fleet soak: a consistent-hash router over 2 shard workers replays the
-# trace and emits BENCH_fleet.json. The binary fails when any routed
-# answer diverges from the in-process PlanService, the fleet simulates
-# more than distinct-config-many steps, or a shard warm-started from
-# the fleet's PlanRegistry snapshots compiles any plan.
-"$BUILD_DIR/bench/bench_fleet_load" "$BUILD_DIR/BENCH_fleet.json"
-echo "ci.sh: fleet soak artifact at $BUILD_DIR/BENCH_fleet.json"
-
-# Chaos soak: 3 shards behind the router, shard 0 behind a
-# deterministic fault proxy. The bench stalls the shard mid-flight,
-# kills it, checks every doomed request fails over byte-exactly, then
-# warm-rejoins a replacement and emits BENCH_chaos.json. The binary
-# fails on any wrong byte, any Unavailable answer, a retry ledger that
-# differs from the doomed set, or a rejoin that compiles plans.
-"$BUILD_DIR/bench/bench_chaos_load" "$BUILD_DIR/BENCH_chaos.json"
-echo "ci.sh: chaos soak artifact at $BUILD_DIR/BENCH_chaos.json"
 
 # Wire-format smoke: the same pipelined trace in JSON lines and in
 # binary frames against one warm NetServer, emitting BENCH_wire.json.

@@ -9,11 +9,11 @@
  * send request lines, read response lines. The server answers each
  * connection's requests *in request order*, so a client may pipeline —
  * send N lines, then read N responses — which is exactly what the
- * `ftsim_client` tool, the socket tests, and `bench_net_load` do.
+ * `ftsim_client` tool and the socket tests do.
  *
  * Deliberately blocking and single-threaded: the poll-based machinery
  * lives server-side; a client that wants concurrency opens more
- * connections (the bench opens 64).
+ * connections (the NetE2E herd test opens 64).
  */
 
 #include <cstdint>

@@ -7,8 +7,8 @@
  *
  * `FaultProxy` listens on one port and forwards every accepted
  * connection to a (retargetable) upstream, byte-for-byte — until a
- * scripted fault fires. Tests and `bench_chaos_load` park it between
- * the router and a shard so shard death, wedged peers, half-closes,
+ * scripted fault fires. The RouterHeal tests park it between the
+ * router and a shard so shard death, wedged peers, half-closes,
  * and truncated streams happen at an exact, reproducible byte offset
  * instead of "whenever kill -9 lands":
  *

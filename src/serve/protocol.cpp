@@ -623,9 +623,9 @@ parsePlanRequest(const std::string& line)
             case Req::Gpus:
                 for (JsonValue& gpu :
                      typed(value, JsonValue::Type::Array, name).array)
-                    req.gpus.push_back(std::move(
+                    req.gpus.push_back(schema::gpusEntry(std::move(
                         typed(gpu, JsonValue::Type::String, "gpus[]")
-                            .string));
+                            .string)));
                 break;
             case Req::Scenario:
                 req.scenario = parseScenario(

@@ -43,6 +43,14 @@ seqLen(double value)
     return static_cast<std::size_t>(value);
 }
 
+std::string
+gpusEntry(std::string entry)
+{
+    if (entry.empty())
+        fail("\"gpus\" entries must be non-empty strings");
+    return entry;
+}
+
 void
 validateRequest(const PlanRequest& request, FieldSet present)
 {
@@ -66,9 +74,6 @@ validateRequest(const PlanRequest& request, FieldSet present)
         fail("\"tenant\" must not be empty (omit it instead)");
     if ((present & bit(Req::Gpu)) && request.gpu.empty())
         fail("\"gpu\" must not be empty");
-    for (const std::string& gpu : request.gpus)
-        if (gpu.empty())
-            fail("\"gpus\" entries must be non-empty strings");
     for (const CloudOffering& rate : request.rates)
         if (!(rate.dollarsPerHour > 0.0))
             fail(strCat("rate for \"", rate.gpuName,

@@ -162,9 +162,13 @@ inline constexpr std::uint64_t kMaxSeqLen = (std::uint64_t{1} << 53) - 1;
  *  [1, kMaxSeqLen]. A u64 converts exactly up to the bound. */
 std::size_t seqLen(double value);
 
-/** The kind policy, then the value rules: tenant, gpu and gpus entries
- *  non-empty; rates > 0, names unique; Scenario::validated(). @p present:
- *  the fields the input carried. */
+/** One "gpus" entry, checked as each codec reads it: non-empty. Per
+ *  entry, so a hostile list holds no memory for entries it refuses. */
+std::string gpusEntry(std::string entry);
+
+/** The kind policy, then the value rules: tenant and gpu non-empty;
+ *  rates > 0, names unique; Scenario::validated(). @p present: the
+ *  fields the input carried. */
 void validateRequest(const PlanRequest& request, FieldSet present);
 
 /** Encoded: each field the kind accepts, less empty optional ones. */

@@ -206,7 +206,8 @@ readRequest(WireReader& in)
             case Req::Gpus: {
                 const auto count = in.uint<std::uint32_t>("gpus count");
                 for (std::uint32_t i = 0; i < count; ++i)
-                    req.gpus.push_back(in.str("gpus entry"));
+                    req.gpus.push_back(
+                        schema::gpusEntry(in.str("gpus entry")));
                 break;
             }
             case Req::Scenario: req.scenario = readScenario(in); break;

@@ -7,7 +7,8 @@
  *  - the golden wire bytes (tests/integration/golden_serve_e2e.jsonl)
  *    come back byte-exact through a real socket, governance included;
  *  - a thundering herd of duplicate requests across N *connections*
- *    still simulates exactly distinct-config-many steps;
+ *    still simulates exactly distinct-config-many steps, and every
+ *    socket answer is byte-identical to an in-process PlanService's;
  *  - RateLimited / InvalidArgument arrive as typed wire errors, and a
  *    malformed or oversized line poisons only its own connection;
  *  - graceful shutdown drains in-flight requests before closing;
@@ -28,6 +29,8 @@
 #include "common/logging.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "serve/plan_service.hpp"
+#include "support/grid_trace.hpp"
 
 #ifndef FTSIM_SOURCE_DIR
 #error "FTSIM_SOURCE_DIR must point at the repo root (set by CMake)"
@@ -116,62 +119,64 @@ TEST(NetE2E, GoldenOutputIsByteExactOverASocket)
 
 TEST(NetE2E, ThunderingHerdAcrossConnectionsSimulatesDistinctOnce)
 {
-    // 16 connections all pipeline the same 3 throughput questions (+1
-    // max_batch): across sockets the fleet must still simulate exactly
-    // 3 distinct step configs, the PR-3 acceptance invariant.
-    NetServer server;
-    ASSERT_TRUE(server.start().ok());
-    const std::uint16_t port = server.port();
+    // Two herds: 16 connections pipelining the same 3 throughput
+    // questions (+1 max_batch), and 64 connections x 8 draws from the
+    // 12-question grid. Across sockets the service must still simulate
+    // exactly distinct-config-many steps, execute each identity once,
+    // and answer every line byte-identically to an in-process
+    // PlanService.
+    std::vector<PlanRequest> probes(4);
+    probes[0].query = probes[1].query = probes[2].query =
+        QueryKind::Throughput;
+    probes[0].gpu = probes[2].gpu = probes[3].gpu = "A40";
+    probes[1].gpu = "H100";
+    probes[2].scenario = Scenario::commonsense15k();
+    for (std::size_t i = 0; i < probes.size(); ++i)
+        probes[i].id = strCat("q", i + 1);
 
-    const std::vector<std::string> probes = {
-        R"({"id":"q1","query":"throughput","gpu":"A40"})",
-        R"({"id":"q2","query":"throughput","gpu":"H100"})",
-        R"({"id":"q3","query":"throughput","gpu":"A40",)"
-        R"("scenario":{"preset":"commonsense15k"}})",
-        R"({"id":"q4","query":"max_batch","gpu":"A40"})",
+    struct Herd {
+        std::vector<std::vector<PlanRequest>> traffic;
+        std::uint64_t steps;
+        std::uint64_t executed;
     };
+    const Herd herds[] = {
+        {std::vector<std::vector<PlanRequest>>(16, probes), 3, 4},
+        {gridTraffic(64, 8), kGridStepConfigs, gridQuestions().size()},
+    };
+    for (const Herd& herd : herds) {
+        SCOPED_TRACE(strCat(herd.traffic.size(), " connections"));
+        NetServer server;
+        ASSERT_TRUE(server.start().ok());
+        const std::vector<std::vector<std::string>> answers =
+            pipelineConcurrently(server.port(), herd.traffic);
 
-    constexpr int kConnections = 16;
-    std::vector<std::vector<std::string>> answers(kConnections);
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kConnections; ++c)
-        clients.emplace_back([port, &probes, &answers, c] {
-            Result<NetClient> client =
-                NetClient::connectTo("127.0.0.1", port);
-            ASSERT_TRUE(client.ok());
-            for (const std::string& probe : probes)
-                ASSERT_TRUE(client.value().sendLine(probe).ok());
-            for (std::size_t i = 0; i < probes.size(); ++i) {
-                Result<std::string> line = client.value().recvLine();
-                ASSERT_TRUE(line.ok());
-                answers[c].push_back(line.value());
+        PlanService reference;
+        std::uint64_t requests = 0;
+        for (std::size_t c = 0; c < herd.traffic.size(); ++c) {
+            ASSERT_EQ(answers[c].size(), herd.traffic[c].size());
+            for (std::size_t i = 0; i < answers[c].size(); ++i) {
+                const PlanRequest& request = herd.traffic[c][i];
+                EXPECT_EQ(answers[c][i],
+                          writePlanResponse(reference.ask(request)))
+                    << request.id;
+                EXPECT_NE(answers[c][i].find("\"ok\":true"),
+                          std::string::npos);
             }
-        });
-    for (std::thread& thread : clients)
-        thread.join();
-
-    // Everyone got identical (successful) answers, in request order.
-    for (int c = 0; c < kConnections; ++c) {
-        ASSERT_EQ(answers[c].size(), probes.size());
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            EXPECT_EQ(answers[c][i], answers[0][i]);
-            EXPECT_NE(answers[c][i].find("\"ok\":true"),
-                      std::string::npos);
+            requests += answers[c].size();
         }
-    }
+        EXPECT_EQ(reference.stats().stepsSimulated, herd.steps);
 
-    const ServiceStats stats = server.service().stats();
-    EXPECT_EQ(stats.stepsSimulated, 3u);
-    EXPECT_EQ(stats.requests,
-              static_cast<std::uint64_t>(kConnections) * probes.size());
-    EXPECT_EQ(stats.executed, probes.size());
-    EXPECT_EQ(stats.coalesced, stats.requests - stats.executed);
-    // One stats bucket per connection, each counting its 4 requests.
-    EXPECT_EQ(stats.sources.size(),
-              static_cast<std::size_t>(kConnections));
-    for (const auto& [label, row] : stats.sources)
-        EXPECT_EQ(row.requests, probes.size()) << label;
-    server.stop();
+        const ServiceStats stats = server.service().stats();
+        EXPECT_EQ(stats.stepsSimulated, herd.steps);
+        EXPECT_EQ(stats.requests, requests);
+        EXPECT_EQ(stats.executed, herd.executed);
+        EXPECT_EQ(stats.coalesced, stats.requests - stats.executed);
+        // One stats bucket per connection, each counting its requests.
+        EXPECT_EQ(stats.sources.size(), herd.traffic.size());
+        for (const auto& [label, row] : stats.sources)
+            EXPECT_EQ(row.requests, herd.traffic[0].size()) << label;
+        server.stop();
+    }
 }
 
 TEST(NetE2E, MalformedLinePoisonsOnlyItsConnection)

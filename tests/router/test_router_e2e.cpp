@@ -36,6 +36,7 @@
 #include "router/router.hpp"
 #include "serve/plan_service.hpp"
 #include "serve/protocol.hpp"
+#include "support/grid_trace.hpp"
 
 namespace ftsim {
 namespace {
@@ -131,45 +132,54 @@ class FleetFixture {
 
 TEST(Router, FleetAnswersByteIdenticalToSingleService)
 {
-    FleetFixture fleet;
-    const std::vector<PlanRequest> requests = fleetTraffic();
+    // Two loads: fleetTraffic pipelined on one connection, and 32
+    // connections x 8 draws from the 12-question grid at once.
+    struct Load {
+        std::vector<std::vector<PlanRequest>> traffic;
+        std::uint64_t steps;
+        std::uint64_t executed;
+    };
+    const Load loads[] = {
+        {{fleetTraffic()}, 5, 6},
+        {gridTraffic(32, 8), kGridStepConfigs, gridQuestions().size()},
+    };
+    for (const Load& load : loads) {
+        SCOPED_TRACE(strCat(load.traffic.size(), " connections"));
+        FleetFixture fleet;
+        // Pipeline everything through the router...
+        const std::vector<std::vector<std::string>> fleetAnswers =
+            pipelineConcurrently(fleet.router().port(), load.traffic);
 
-    // Pipeline everything through the router...
-    NetClient client = connectLoopback(fleet.router().port());
-    for (const PlanRequest& req : requests)
-        ASSERT_TRUE(client.sendLine(writePlanRequest(req)).ok());
-    std::vector<std::string> fleetAnswers;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        Result<std::string> line = client.recvLine();
-        ASSERT_TRUE(line.ok()) << line.error().message;
-        fleetAnswers.push_back(line.value());
+        // ...and ask one in-process service the same questions.
+        PlanService reference;
+        std::uint64_t requests = 0;
+        for (std::size_t c = 0; c < load.traffic.size(); ++c) {
+            ASSERT_EQ(fleetAnswers[c].size(), load.traffic[c].size());
+            for (std::size_t i = 0; i < fleetAnswers[c].size(); ++i)
+                EXPECT_EQ(fleetAnswers[c][i],
+                          writePlanResponse(
+                              reference.ask(load.traffic[c][i])))
+                    << "request " << load.traffic[c][i].id;
+            requests += fleetAnswers[c].size();
+        }
+
+        // The fleet coalesced like one service: across both shards,
+        // exactly distinct-config-many steps ran, and every duplicate
+        // coalesced on its shard (each identity executed once).
+        const std::uint64_t fleetSteps =
+            fleet.shard(0).service().stats().stepsSimulated +
+            fleet.shard(1).service().stats().stepsSimulated;
+        EXPECT_EQ(fleetSteps, reference.stats().stepsSimulated);
+        EXPECT_EQ(fleetSteps, load.steps);
+        EXPECT_EQ(fleet.shard(0).service().stats().executed +
+                      fleet.shard(1).service().stats().executed,
+                  load.executed);
+
+        const RouterStats stats = fleet.router().stats();
+        EXPECT_EQ(stats.forwarded, requests);
+        EXPECT_EQ(stats.responses, requests);
+        EXPECT_EQ(stats.shardFailures, 0u);
     }
-
-    // ...and ask one in-process service the same questions.
-    PlanService reference;
-    for (std::size_t i = 0; i < requests.size(); ++i)
-        EXPECT_EQ(fleetAnswers[i],
-                  writePlanResponse(reference.ask(requests[i])))
-            << "request " << requests[i].id;
-
-    // The fleet coalesced like one service: across both shards,
-    // exactly distinct-config-many steps ran, and every duplicate
-    // coalesced on its shard (6 identities executed, 18 asked).
-    const std::uint64_t fleetSteps =
-        fleet.shard(0).service().stats().stepsSimulated +
-        fleet.shard(1).service().stats().stepsSimulated;
-    EXPECT_EQ(fleetSteps, reference.stats().stepsSimulated);
-    EXPECT_EQ(fleetSteps, 5u);
-    EXPECT_EQ(fleet.shard(0).service().stats().executed +
-                  fleet.shard(1).service().stats().executed,
-              6u);
-
-    // Duplicates landed on one shard each: every identity routed to
-    // exactly the shard the ring names.
-    const RouterStats stats = fleet.router().stats();
-    EXPECT_EQ(stats.forwarded, requests.size());
-    EXPECT_EQ(stats.responses, requests.size());
-    EXPECT_EQ(stats.shardFailures, 0u);
 }
 
 TEST(Router, FleetQueryIsAnsweredByTheRouter)

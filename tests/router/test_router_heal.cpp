@@ -8,9 +8,9 @@
  * The claims under test:
  *
  *  - a shard killed with requests in flight loses *nothing*: its
- *    outstanding and future requests replay on the survivors and every
- *    answer matches what the healthy fleet would have said, byte for
- *    byte;
+ *    outstanding and future requests replay on the survivors, none
+ *    answers Unavailable or trips a deadline, and every answer matches
+ *    one in-process PlanService's, byte for byte;
  *  - an alive-but-wedged shard (accepts, never answers) is declared
  *    dead by the per-request deadline and handled identically;
  *  - with `reconnectBackoffMs` set the router re-dials the dead
@@ -30,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "router/router.hpp"
 #include "serve/plan_service.hpp"
 #include "serve/protocol.hpp"
+#include "support/grid_trace.hpp"
 
 namespace ftsim {
 namespace {
@@ -97,29 +99,41 @@ eventually(double budgetMs, const std::function<bool()>& predicate)
     return predicate();
 }
 
-TEST(RouterHeal, KilledShardRejoinsWarmAndAnswersStayByteIdentical)
-{
-    // Topology: shard-a direct, shard-b behind a FaultProxy so the
-    // test can kill the link at an exact moment and later point the
-    // same endpoint at a fresh replacement process.
-    NetServer shardA;
-    ASSERT_TRUE(shardA.start().ok());
-    NetServer shardB;
-    ASSERT_TRUE(shardB.start().ok());
+/** One kill-and-heal run: the victim shard's link runs through a
+ *  FaultProxy so the test can cut it at an exact moment and later
+ *  point the same endpoint at a fresh replacement. */
+struct KillCase {
+    std::vector<std::string> shardNames;
+    std::size_t victim;
+    std::vector<PlanRequest> traffic;
+    /** Requests the mirrored ring places on the victim. */
+    std::size_t doomed;
+    /** Plans the rejoiner warms from the survivors' snapshots. */
+    std::uint64_t plansLoaded;
+};
 
+void
+killMidPipelineThenHeal(const KillCase& kill)
+{
+    const std::size_t shardCount = kill.shardNames.size();
+    std::vector<std::unique_ptr<NetServer>> shards;
+    for (std::size_t i = 0; i < shardCount; ++i) {
+        shards.push_back(std::make_unique<NetServer>());
+        ASSERT_TRUE(shards.back()->start().ok());
+    }
     FaultProxyConfig proxyConfig;
-    proxyConfig.targetPort = shardB.port();
+    proxyConfig.targetPort = shards[kill.victim]->port();
     FaultProxy proxy(proxyConfig);
     ASSERT_TRUE(proxy.start().ok());
 
     RouterConfig config;
-    ShardEndpoint endA;
-    endA.port = shardA.port();
-    endA.name = "shard-a";
-    ShardEndpoint endB;
-    endB.port = proxy.port();
-    endB.name = "shard-b";
-    config.shards = {endA, endB};
+    for (std::size_t i = 0; i < shardCount; ++i) {
+        ShardEndpoint endpoint;
+        endpoint.port =
+            i == kill.victim ? proxy.port() : shards[i]->port();
+        endpoint.name = kill.shardNames[i];
+        config.shards.push_back(endpoint);
+    }
     config.retryBudget = 2;
     config.reconnectBackoffMs = 20.0;  // Real clock: heal fast.
     config.reconnectBackoffMaxMs = 100.0;
@@ -127,36 +141,43 @@ TEST(RouterHeal, KilledShardRejoinsWarmAndAnswersStayByteIdentical)
     RouterServer router(config);
     ASSERT_TRUE(router.start().ok());
 
-    // Phase 1: warm the whole fleet and record the healthy answers.
-    const std::vector<PlanRequest> requests = healTraffic();
-    std::vector<std::string> healthy;
+    // Every phase must answer what one in-process service answers.
+    const std::vector<PlanRequest>& requests = kill.traffic;
+    PlanService reference;
+    std::vector<std::string> expected;
+    for (const PlanRequest& req : requests)
+        expected.push_back(writePlanResponse(reference.ask(req)));
+
+    // Phase 1: warm the whole fleet.
     {
         NetClient client = connectLoopback(router.port());
-        for (const PlanRequest& req : requests) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
             Result<std::string> line =
-                client.ask(writePlanRequest(req));
+                client.ask(writePlanRequest(requests[i]));
             ASSERT_TRUE(line.ok()) << line.error().message;
             EXPECT_NE(line.value().find("\"ok\":true"),
                       std::string::npos)
                 << line.value();
-            healthy.push_back(std::move(line.value()));
+            EXPECT_EQ(line.value(), expected[i]);
         }
     }
 
-    // Phase 2: kill shard-b with requests provably in flight.
+    // Phase 2: kill the victim with requests provably in flight.
     // Mirror the ring to know how many requests it owns, stall its
     // response flow so they cannot complete, fill the pipeline, then
-    // cut the link: the outstanding requests must replay on shard-a
-    // and every answer must match the healthy run byte for byte.
+    // cut the link: the outstanding requests must replay on the
+    // survivors and every answer must stay byte-identical.
     HashRing ring(config.virtualNodes);
-    ring.addShard(0, "shard-a");
-    ring.addShard(1, "shard-b");
+    for (std::size_t i = 0; i < shardCount; ++i)
+        ring.addShard(static_cast<int>(i), kill.shardNames[i]);
     std::size_t doomed = 0;
     for (const PlanRequest& req : requests)
-        if (ring.shardFor(req.canonicalKey()) == 1)
+        if (ring.shardFor(req.canonicalKey()) ==
+            static_cast<int>(kill.victim))
             ++doomed;
     // Deterministic placement split; pick different shard names if a
     // hash or traffic change ever empties a side.
+    ASSERT_EQ(doomed, kill.doomed);
     ASSERT_GT(doomed, 0u);
     ASSERT_LT(doomed, requests.size());
 
@@ -174,61 +195,97 @@ TEST(RouterHeal, KilledShardRejoinsWarmAndAnswersStayByteIdentical)
     // Stop the old worker first so heal dials cannot reach it, then
     // cut the live link: the router sees a mid-pipeline death with
     // exactly `doomed` requests outstanding.
-    shardB.stop();
+    shards[kill.victim]->stop();
     proxy.killConnections();
     proxy.clearFault();
     for (std::size_t i = 0; i < requests.size(); ++i) {
         Result<std::string> line = client.recvLine();
         ASSERT_TRUE(line.ok())
             << "request " << i << ": " << line.error().message;
-        EXPECT_EQ(line.value(), healthy[i]);
+        EXPECT_EQ(line.value(), expected[i]);
     }
 
-    // Phase 3: bring up a cold replacement on shard-b's endpoint and
-    // let the heartbeat heal into it. The rejoiner must be warmed from
-    // shard-a's snapshot before serving: zero plans compiled.
-    NetServer shardB2;
-    ASSERT_TRUE(shardB2.start().ok());
-    proxy.setTarget("127.0.0.1", shardB2.port());
-    ASSERT_TRUE(eventually(5000.0, [&] {
-        return router.stats().healed == 1;
-    })) << "shard-b never healed";
-
-    const RouterStats healedStats = router.stats();
-    EXPECT_EQ(healedStats.shardsAlive, 2u);
-    EXPECT_EQ(healedStats.shards[1].state, ShardState::Alive);
-    EXPECT_EQ(healedStats.shards[1].heals, 1u);
-    EXPECT_GE(healedStats.shards[1].dialAttempts, 1u);
-    EXPECT_GE(healedStats.lastHealMs, 0.0);
-    EXPECT_EQ(healedStats.shardFailures, 0u);
-    EXPECT_EQ(healedStats.retried, doomed);
-
-    // Every fleet-seen config replays byte-identically through the
-    // healed fleet — and the rejoined shard compiled nothing: its
-    // registry was warm-started, not rebuilt.
+    // Phase 3: the degraded fleet — survivors own the whole keyspace.
     for (std::size_t i = 0; i < requests.size(); ++i) {
         Result<std::string> line =
             client.ask(writePlanRequest(requests[i]));
         ASSERT_TRUE(line.ok()) << line.error().message;
-        EXPECT_EQ(line.value(), healthy[i]);
+        EXPECT_EQ(line.value(), expected[i]);
     }
-    EXPECT_EQ(shardB2.service().planRegistry()->plansCompiled(), 0u);
-    EXPECT_GT(shardB2.service().planRegistry()->plansLoaded(), 0u);
+
+    // Phase 4: bring up a cold replacement on the victim's endpoint
+    // and let the heartbeat heal into it. The rejoiner must be warmed
+    // from the survivors' snapshots before serving.
+    NetServer replacement;
+    ASSERT_TRUE(replacement.start().ok());
+    proxy.setTarget("127.0.0.1", replacement.port());
+    ASSERT_TRUE(eventually(5000.0, [&] {
+        return router.stats().healed == 1;
+    })) << kill.shardNames[kill.victim] << " never healed";
+
+    const RouterStats healedStats = router.stats();
+    EXPECT_EQ(healedStats.shardsAlive, shardCount);
+    EXPECT_EQ(healedStats.shards[kill.victim].state, ShardState::Alive);
+    EXPECT_EQ(healedStats.shards[kill.victim].heals, 1u);
+    EXPECT_GE(healedStats.shards[kill.victim].dialAttempts, 1u);
+    EXPECT_GE(healedStats.lastHealMs, 0.0);
+    // Nothing answered Unavailable, no deadline tripped, and the
+    // failover replayed exactly the doomed set.
+    EXPECT_EQ(healedStats.shardFailures, 0u);
+    EXPECT_EQ(healedStats.deadlineExpired, 0u);
+    EXPECT_EQ(healedStats.retried, doomed);
+
+    // Phase 5: every fleet-seen config replays byte-identically
+    // through the healed fleet — and the rejoined shard compiled
+    // nothing: its registry was warm-started, not rebuilt.
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        Result<std::string> line =
+            client.ask(writePlanRequest(requests[i]));
+        ASSERT_TRUE(line.ok()) << line.error().message;
+        EXPECT_EQ(line.value(), expected[i]);
+    }
+    EXPECT_EQ(replacement.service().planRegistry()->plansCompiled(), 0u);
+    EXPECT_EQ(replacement.service().planRegistry()->plansLoaded(),
+              kill.plansLoaded);
+    // Four sweeps, every one answered.
+    EXPECT_EQ(router.stats().responses, 4 * requests.size());
 
     // The fleet view spells out the ledger.
     Result<std::string> fleet = client.ask("{\"query\":\"fleet\"}");
     ASSERT_TRUE(fleet.ok());
-    EXPECT_NE(fleet.value().find("alive=2"), std::string::npos)
+    EXPECT_NE(fleet.value().find(strCat("alive=", shardCount)),
+              std::string::npos)
         << fleet.value();
     EXPECT_NE(fleet.value().find("healed=1"), std::string::npos)
         << fleet.value();
-    EXPECT_NE(fleet.value().find("shard-b=alive"), std::string::npos)
+    EXPECT_NE(
+        fleet.value().find(kill.shardNames[kill.victim] + "=alive"),
+        std::string::npos)
         << fleet.value();
 
     router.stop();
     proxy.stop();
-    shardA.stop();
-    shardB2.stop();
+    for (std::size_t i = 0; i < shardCount; ++i)
+        if (i != kill.victim)
+            shards[i]->stop();
+    replacement.stop();
+}
+
+TEST(RouterHeal, KilledShardRejoinsWarmAndAnswersStayByteIdentical)
+{
+    {
+        SCOPED_TRACE("two shards, shard-b killed");
+        killMidPipelineThenHeal(
+            {{"shard-a", "shard-b"}, 1, healTraffic(), 2, 2});
+    }
+    {
+        SCOPED_TRACE("three shards over the grid, shard-0 killed");
+        killMidPipelineThenHeal({{"shard-0", "shard-1", "shard-2"},
+                                 0,
+                                 gridQuestions(),
+                                 5,
+                                 1});
+    }
 }
 
 TEST(RouterHeal, WedgedShardTripsDeadlineAndRequestsFailOver)

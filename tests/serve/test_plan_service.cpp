@@ -6,7 +6,9 @@
  * rate overrides, error surfacing — and the ISSUE-4 governance layer:
  * per-tenant admission quotas (token bucket + max-inflight) and
  * LRU-bounded answer/planner caches (capacity-1 stays correct,
- * evicted answers recompute identically and re-simulate).
+ * evicted answers recompute identically and re-simulate, a trace four
+ * times the answer cap stays within it and matches an unbounded
+ * service byte for byte).
  */
 
 #include <gtest/gtest.h>
@@ -362,6 +364,47 @@ TEST(PlanService, CachedAnswersStillCoalesceWithinCapacity)
     EXPECT_EQ(stats.coalesced, 1u);
     EXPECT_EQ(stats.stepsSimulated, 1u);
     EXPECT_EQ(stats.answersEvicted, 0u);
+}
+
+TEST(PlanService, EvictionPressureStaysWithinCapsAndMatchesUnbounded)
+{
+    // 64 distinct questions, replayed twice, against caps of 16
+    // answers / 8 planners: the second pass recomputes everything the
+    // LRU dropped. Serial asks keep the eviction order, and so every
+    // counter, deterministic.
+    constexpr std::size_t kDistinct = 64;
+    constexpr std::size_t kMaxAnswers = 16;
+    constexpr std::size_t kMaxPlanners = 8;
+    std::vector<PlanRequest> trace;
+    for (std::size_t pass = 0; pass < 2; ++pass)
+        for (std::size_t i = 0; i < kDistinct; ++i) {
+            PlanRequest req;
+            req.query = QueryKind::MaxBatch;
+            req.gpu = "A40";
+            // Distinct num_queries: distinct answer and planner keys,
+            // while the answer itself is cheap memory arithmetic.
+            req.scenario = Scenario::gsMath().withNumQueries(
+                10000.0 + static_cast<double>(i));
+            req.id = strCat("p", pass, "-", i);
+            trace.push_back(std::move(req));
+        }
+
+    ServiceConfig config;
+    config.maxAnswers = kMaxAnswers;
+    config.maxPlanners = kMaxPlanners;
+    PlanService bounded(config);
+    PlanService unbounded;
+    for (const PlanRequest& req : trace)
+        EXPECT_EQ(writePlanResponse(bounded.ask(req)),
+                  writePlanResponse(unbounded.ask(req)))
+            << req.id;  // Eviction may cost recomputation, never bytes.
+
+    const ServiceStats stats = bounded.stats();
+    EXPECT_EQ(stats.answersCachedPeak, kMaxAnswers);
+    EXPECT_EQ(stats.answersCached, kMaxAnswers);
+    EXPECT_EQ(stats.answersEvicted, trace.size() - kMaxAnswers);
+    EXPECT_EQ(stats.plannersCached, kMaxPlanners);
+    EXPECT_EQ(stats.plannersEvicted, trace.size() - kMaxPlanners);
 }
 
 TEST(PlanService, CapacityOneServiceAnswersConcurrentHerdCorrectly)
@@ -768,8 +811,12 @@ TEST(PlanService, LoadSnapshotWarmsTheRegistryWithoutCompiling)
     // plansLoaded is echoed back as the answer's value.
     EXPECT_EQ(loaded.value, static_cast<double>(donorPlans));
 
-    cold.ask(throughputRequest("A40"));
-    cold.ask(throughputRequest("A40", Scenario::commonsense15k()));
+    // The warmed answers are the donor's, byte for byte.
+    for (const PlanRequest& req :
+         {throughputRequest("A40"),
+          throughputRequest("A40", Scenario::commonsense15k())})
+        EXPECT_EQ(writePlanResponse(cold.ask(req)),
+                  writePlanResponse(donor.ask(req)));
     EXPECT_EQ(cold.planRegistry()->plansCompiled(), 0u);
     EXPECT_EQ(cold.planRegistry()->plansLoaded(), donorPlans);
 }

@@ -365,6 +365,24 @@ TEST(Wire, HostilePayloadsAreTypedErrors)
     }
 }
 
+TEST(Wire, HostileGpusCountFailsOnItsFirstEmptyEntry)
+{
+    // A cost_table frame that declares 1,000,000 gpus entries but
+    // carries two empty ones: the non-empty rule fires on the first
+    // entry as it is read, not after the list has filled memory or the
+    // reader has run out of bytes.
+    std::string p("\x01\x01\x02\x05", 4);       // Request, kind, gpus.
+    p += std::string("\x40\x42\x0f\x00", 4);    // 1,000,000 entries.
+    p += std::string(8, '\0');                  // Two empty strings.
+    Result<WireMessage> decoded = decodeWirePayload(p);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, ErrorCode::InvalidArgument);
+    EXPECT_NE(decoded.error().message.find(
+                  "\"gpus\" entries must be non-empty"),
+              std::string::npos)
+        << decoded.error().message;
+}
+
 TEST(Wire, ResponseRequiresQueryAndOk)
 {
     // Response with only an id.

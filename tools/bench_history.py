@@ -6,6 +6,7 @@ this script *remembers* each run. Every invocation appends one JSON
 line to ``bench/history.jsonl``::
 
     {"sha": "<git HEAD>", "timestamp": "<UTC ISO-8601>",
+     "src_lines": <newlines in src/**/*.cpp|hpp>,
      "artifacts": {"BENCH_planner": {...}, "BENCH_serve": {...}, ...}}
 
 The file is append-only — lines are never rewritten, so the history
@@ -13,7 +14,9 @@ survives baseline refreshes and stays trivially diffable. Raw
 wall-clock numbers that the gate deliberately ignores (they vary with
 the host) are exactly what the history keeps: across many commits on
 the same CI runner class they chart the trend a one-shot gate cannot
-see. CI uploads the ledger as a build artifact after appending.
+see. ``src_lines`` is counted exactly as perfbench/run.py counts it, so
+the size of ``src/`` sits next to the perf trend. CI uploads the
+ledger as a build artifact after appending.
 
 Exit status: 0 after appending; 1 when no BENCH_*.json artifacts were
 found (a run that produced nothing must not log a hollow entry).
@@ -46,6 +49,17 @@ def git_head(repo_root):
         return "unknown"
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else "unknown"
+
+
+def src_lines(repo_root):
+    """Newlines in src/'s .cpp/.hpp files (perfbench/run.py's count)."""
+    total = 0
+    for top, _, files in os.walk(os.path.join(repo_root, "src")):
+        for name in files:
+            if name.endswith((".cpp", ".hpp")):
+                with open(os.path.join(top, name), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
 
 
 def main():
@@ -92,6 +106,7 @@ def main():
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds")
         .replace("+00:00", "Z"),
+        "src_lines": src_lines(repo_root),
         "artifacts": artifacts,
     }
     history_dir = os.path.dirname(args.history)
@@ -103,7 +118,8 @@ def main():
         f.write(json.dumps(entry, sort_keys=True) + "\n")
     print(
         f"bench_history: appended {len(artifacts)} artifact(s) "
-        f"@ {entry['sha'][:12]} to {args.history}"
+        f"@ {entry['sha'][:12]} (src_lines={entry['src_lines']}) "
+        f"to {args.history}"
     )
     return 0
 
