@@ -1,10 +1,11 @@
 /**
  * @file
- * Binary-vs-JSON wire-format bench (ISSUE-10 acceptance gate).
+ * Binary-vs-JSON wire-format bench.
  *
- * One `NetServer`, two timed phases over the *same warm cache*: a JSON
- * phase (lines in, lines out) and a binary phase (frames in, frames
- * out) running the identical request trace. A warm-up pass outside the
+ * One `NetServer`, timed phases over the *same warm cache*: JSON phases
+ * (lines in, lines out) and binary phases (frames in, frames out)
+ * running the identical request trace, in paired, order-alternating
+ * trials (`bench::measure`). A warm-up pass outside the
  * clock executes every distinct step configuration first, so neither
  * phase pays simulation cost — the measured difference is codec +
  * transport only, which is exactly what the wire format changes.
@@ -17,7 +18,7 @@
  *  - every JSON answer equals `writePlanResponse` of the reference;
  *  - every binary answer's frame bytes equal `encodeResponseFrame` of
  *    the reference (decode + re-encode is deterministic);
- *  - the binary phase must run >= 1.3x the JSON phase's request rate.
+ *  - the paired median must show binary >= 1.3x the JSON request rate.
  *
  * Exits non-zero on any divergence or a speedup below the bar, so
  * ci.sh gets the gate for free; emits BENCH_wire.json for the trend
@@ -81,9 +82,10 @@ main(int argc, char** argv)
         scenarios.size() * gpu_names.size();
 
     constexpr std::size_t kConnections = 4;
-    constexpr std::size_t kPerConnection = 2048;
-    const std::size_t requests_per_mode =
-        kConnections * kPerConnection;
+    constexpr std::size_t kPerConnection = 256;
+    constexpr int kTrials = 8;
+    const std::size_t requests_per_phase = kConnections * kPerConnection;
+    const std::size_t requests_per_mode = kTrials * requests_per_phase;
 
     // ---- Expected answers: the in-process service, no sockets. ------
     PlanService reference;
@@ -139,7 +141,8 @@ main(int argc, char** argv)
     }
 
     bench::section("Trace");
-    std::cout << kConnections << " connections x " << kPerConnection
+    std::cout << kTrials << " paired trials x " << kConnections
+              << " connections x " << kPerConnection
               << " pipelined requests per mode ("
               << templates.size() << " templates, "
               << kDistinctStepConfigs
@@ -151,7 +154,6 @@ main(int argc, char** argv)
     auto run_phase = [&](bool binary) {
         std::vector<std::size_t> bad(kConnections, 0);
         std::vector<char> failed(kConnections, 0);
-        const double start_ms = bench::nowMs();
         {
             std::vector<std::thread> clients;
             for (std::size_t c = 0; c < kConnections; ++c)
@@ -200,18 +202,19 @@ main(int argc, char** argv)
             for (std::thread& thread : clients)
                 thread.join();
         }
-        const double wall_ms = bench::nowMs() - start_ms;
         for (std::size_t c = 0; c < kConnections; ++c) {
             mismatches += bad[c];
             failed_connections += failed[c] ? 1 : 0;
         }
-        return wall_ms;
     };
 
-    // JSON first, then binary — both against the same warm cache, so
-    // ordering cannot flatter the binary phase.
-    const double json_wall_ms = run_phase(false);
-    const double binary_wall_ms = run_phase(true);
+    // Both against the same warm cache; the pairs alternate which
+    // phase runs first, so ordering cannot flatter either.
+    const bench::Paired timing =
+        bench::measure(kTrials, 1, [&] { run_phase(false); },
+                       [&] { run_phase(true); });
+    const double json_wall_ms = timing.baselineMs;
+    const double binary_wall_ms = timing.candidateMs;
 
     const ServiceStats stats = server.service().stats();
     const NetServerStats net = server.stats();
@@ -219,27 +222,28 @@ main(int argc, char** argv)
 
     const double json_rps =
         json_wall_ms > 0.0
-            ? requests_per_mode / (json_wall_ms / 1000.0)
+            ? requests_per_phase / (json_wall_ms / 1000.0)
             : 0.0;
     const double binary_rps =
         binary_wall_ms > 0.0
-            ? requests_per_mode / (binary_wall_ms / 1000.0)
+            ? requests_per_phase / (binary_wall_ms / 1000.0)
             : 0.0;
-    const double speedup =
-        json_rps > 0.0 ? binary_rps / json_rps : 0.0;
+    const double speedup = timing.median;
 
     bench::section("Results");
-    std::cout << "json:   " << requests_per_mode << " requests over "
-              << json_wall_ms << " ms = " << json_rps << " req/s\n"
-              << "binary: " << requests_per_mode << " requests over "
-              << binary_wall_ms << " ms = " << binary_rps
-              << " req/s\n"
-              << "speedup binary vs json: " << speedup << "x\n"
+    std::cout << "json:   " << requests_per_phase
+              << " requests per phase, median " << json_wall_ms
+              << " ms = " << json_rps << " req/s\n"
+              << "binary: " << requests_per_phase
+              << " requests per phase, median " << binary_wall_ms
+              << " ms = " << binary_rps << " req/s\n"
+              << "speedup binary vs json: " << bench::spreadText(timing)
+              << '\n'
               << "byte mismatches: " << mismatches
               << ", failed connections: " << failed_connections
               << ", steps_simulated=" << stats.stepsSimulated << '\n';
-    bench::note("gate: byte-identical answers in both formats and "
-                "binary >= 1.3x JSON");
+    bench::note("gate: byte-identical answers in both formats and a "
+                "paired median of binary >= 1.3x JSON");
 
     std::ofstream out(out_path);
     if (!out) {
@@ -257,6 +261,10 @@ main(int argc, char** argv)
         << "  \"json_requests_per_sec\": " << json_rps << ",\n"
         << "  \"binary_requests_per_sec\": " << binary_rps << ",\n"
         << "  \"speedup_binary_vs_json\": " << speedup << ",\n"
+        << "  \"spread\": {\n"
+        << "    \"speedup_binary_vs_json\": " << bench::spreadJson(timing)
+        << "\n"
+        << "  },\n"
         << "  \"byte_mismatches\": " << mismatches << ",\n"
         << "  \"failed_connections\": " << failed_connections << ",\n"
         << "  \"service_stats\": {\n"
@@ -296,7 +304,7 @@ main(int argc, char** argv)
         return 1;
     }
     if (speedup < 1.3) {
-        std::cerr << "bench_wire: binary/json speedup " << speedup
+        std::cerr << "bench_wire: binary/json paired median " << speedup
                   << "x is below the 1.3x bar\n";
         return 1;
     }

@@ -12,11 +12,10 @@ cmake --build "$BUILD_DIR" -j
 
 # Perf smokes. Every gated speedup below is the median of paired,
 # order-alternating trials (bench::measure in bench/bench_util.hpp),
-# recorded with its p10/p90 spread; bench_wire's single-shot ratio is
-# the one exception. Exact serving counters (herd coalescing, fleet
-# byte identity, the kill/heal ledger, eviction caps) are asserted by
-# the NetE2E, Router, RouterHeal and PlanService gtests in ctest above;
-# perfbench/ drives the real daemons for throughput.
+# recorded with its p10/p90 spread. Exact serving counters (herd
+# coalescing, fleet byte identity, the kill/heal ledger, eviction caps)
+# are asserted by the NetE2E, Router, RouterHeal and PlanService gtests
+# in ctest above; perfbench/ drives the real daemons for throughput.
 
 # Planner perf smoke: time the planner hot path and emit
 # BENCH_planner.json. Gated against bench/baselines by bench_check below.

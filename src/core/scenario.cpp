@@ -1,5 +1,7 @@
 #include "core/scenario.hpp"
 
+#include "common/bytes.hpp"
+
 namespace ftsim {
 
 Scenario
@@ -56,22 +58,40 @@ Scenario::describe() const
 std::string
 Scenario::canonicalKey() const
 {
-    // strExact throughout: keys must distinguish doubles past the 6
-    // significant digits strCat would keep, or two tenants' distinct
-    // scenarios would alias one cached answer.
-    return strCat(model.fingerprint(), "|seq=", medianSeqLen,
-                  "|sigma=", strExact(lengthSigma),
-                  "|q=", strExact(numQueries),
-                  "|ep=", strExact(epochs), "|sparse=", sparse,
-                  "|cal=", strExact(calibration.hostOverheadUs), ',',
-                  strExact(calibration.matmulEfficiency), ',',
-                  strExact(calibration.vectorEfficiency), ',',
-                  strExact(calibration.dequantEfficiency), ',',
-                  strExact(calibration.memoryEfficiency), ',',
-                  strExact(calibration.blocksPerSm), ',',
-                  strExact(calibration.minOccupancy), ',',
-                  strExact(calibration.stepOverheadMs), ',',
-                  strExact(calibration.optimizerPasses));
+    std::string key;
+    appendKey(key);
+    return key;
+}
+
+void
+Scenario::appendKey(std::string& out) const
+{
+    // The fields ModelSpec::fingerprint() spells, packed directly: a
+    // field added there belongs here too.
+    bytes::putStr(out, model.name);
+    bytes::putU8(out, static_cast<std::uint8_t>(model.backbone));
+    bytes::putU8(out, static_cast<std::uint8_t>(model.expertKind));
+    for (std::size_t n : {model.nLayers, model.dModel, model.nHeads,
+                          model.nKvHeads, model.dFf, model.nExperts,
+                          model.topKSparse, model.vocab, model.dInner,
+                          model.dState, model.convK})
+        bytes::putUint(out, static_cast<std::uint64_t>(n));
+    bytes::putU8(out, static_cast<std::uint8_t>(model.strategy));
+    bytes::putUint(out, static_cast<std::uint64_t>(model.loraRank));
+    bytes::putF64(out, model.bytesPerParam);
+
+    bytes::putUint(out, static_cast<std::uint64_t>(medianSeqLen));
+    bytes::putF64(out, lengthSigma);
+    bytes::putF64(out, numQueries);
+    bytes::putF64(out, epochs);
+    bytes::putU8(out, sparse ? 1 : 0);
+    for (double knob :
+         {calibration.hostOverheadUs, calibration.matmulEfficiency,
+          calibration.vectorEfficiency, calibration.dequantEfficiency,
+          calibration.memoryEfficiency, calibration.blocksPerSm,
+          calibration.minOccupancy, calibration.stepOverheadMs,
+          calibration.optimizerPasses})
+        bytes::putF64(out, knob);
 }
 
 }  // namespace ftsim

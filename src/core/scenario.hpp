@@ -118,13 +118,18 @@ struct Scenario {
 
     /**
      * Canonical cache identity: every field that affects any planning
-     * answer — the full model fingerprint, the dataset shape, the
-     * hyper-parameters, and the simulator calibration — serialized.
-     * Serving layers key shared `Planner` instances on this, so two
-     * tenants planning the same run (however they spelled it) land on
-     * one planner and one step cache.
+     * answer — every ModelSpec field, the dataset shape, the
+     * hyper-parameters, and the simulator calibration — packed from
+     * the values (doubles as bit patterns, integers as u64, strings
+     * length-prefixed), not spelled in decimal. Binary bytes, for
+     * equality and hashing only. Serving layers key shared `Planner`
+     * instances on this, so two tenants planning the same run (however
+     * they spelled it) land on one planner and one step cache.
      */
     std::string canonicalKey() const;
+
+    /** Appends canonicalKey()'s bytes to @p out. */
+    void appendKey(std::string& out) const;
 };
 
 }  // namespace ftsim

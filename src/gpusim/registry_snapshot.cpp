@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/logging.hpp"
 
 namespace ftsim {
@@ -40,41 +41,10 @@ fnv1a(std::string_view bytes)
 
 // ---- Writer ----------------------------------------------------------
 
-void
-putU8(std::string& out, std::uint8_t v)
-{
-    out += static_cast<char>(v);
-}
-
-void
-putU32(std::string& out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-void
-putU64(std::string& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-/** Bit-pattern write: doubles must round-trip exactly. */
-void
-putF64(std::string& out, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-void
-putStr(std::string& out, const std::string& s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out += s;
-}
+using bytes::putF64;
+using bytes::putStr;
+using bytes::putU8;
+using bytes::putUint;
 
 // ---- Bounds-checked reader -------------------------------------------
 
@@ -207,7 +177,7 @@ saveRegistrySnapshot(const PlanRegistry& registry)
         putStr(plans, key);
         putF64(plans, plan->activeExperts);
         putF64(plans, plan->nExperts);
-        putU32(plans, static_cast<std::uint32_t>(plan->size()));
+        putUint(plans, static_cast<std::uint32_t>(plan->size()));
         for (std::size_t i = 0; i < plan->size(); ++i) {
             // Name ids are interner-local; the spelling is the portable
             // identity (the loader re-interns into its own registry).
@@ -227,15 +197,15 @@ saveRegistrySnapshot(const PlanRegistry& registry)
             putF64(plans, f.e);
         }
     });
-    putU32(payload, plan_count);
+    putUint(payload, plan_count);
     payload += plans;
 
     std::string out;
     out.reserve(kHeaderBytes + payload.size());
     out.append(kMagic, sizeof(kMagic));
-    putU32(out, kVersion);
-    putU64(out, payload.size());
-    putU64(out, fnv1a(payload));
+    putUint(out, kVersion);
+    putUint(out, static_cast<std::uint64_t>(payload.size()));
+    putUint(out, fnv1a(payload));
     out += payload;
     return out;
 }

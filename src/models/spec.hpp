@@ -98,9 +98,11 @@ struct ModelSpec {
     /**
      * Canonical cache identity: every field that affects the lowered
      * kernel workload, serialized. Two specs with equal fingerprints
-     * compile to bit-identical step plans, so plan registries and
-     * serving layers key on this (a tweaked copy never aliases a
-     * preset, same contract as the planner's GPU fingerprint).
+     * compile to bit-identical step plans, so plan registries (and
+     * their persisted snapshots) key on this; a tweaked copy never
+     * aliases a preset, same contract as the planner's GPU
+     * fingerprint. Scenario::appendKey packs the same fields as
+     * values, for the serving layers' request keys.
      */
     std::string fingerprint() const;
 

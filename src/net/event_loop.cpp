@@ -16,6 +16,9 @@ namespace {
  *  virtual, so it is re-read at least this often. */
 constexpr double kTickMs = 10.0;
 
+/** The loop run() is driving on this thread, if any. */
+thread_local const EventLoop* tRunning = nullptr;
+
 }  // namespace
 
 EventLoop::EventLoop(std::function<double()> clock)
@@ -58,6 +61,16 @@ EventLoop::arm(double deadlineMs)
 void
 EventLoop::wake()
 {
+    // On the loop thread the round is still running: afterEvents() and
+    // the next prepare() see the change before the loop polls again, so
+    // a pipe byte would only buy an empty round.
+    if (tRunning != this)
+        writeWake();
+}
+
+void
+EventLoop::writeWake()
+{
     // A full pipe means a wake is already pending: EAGAIN is success.
     const char byte = 1;
     [[maybe_unused]] ssize_t n = ::write(wakeWrite_.get(), &byte, 1);
@@ -66,8 +79,10 @@ EventLoop::wake()
 void
 EventLoop::requestStop()
 {
+    // Always the pipe: a signal handler on the loop thread may land
+    // after the round's stop check, just before poll().
     stopRequested_.store(true);
-    wake();
+    writeWake();
 }
 
 int
@@ -83,6 +98,8 @@ EventLoop::pollTimeoutMs() const
 void
 EventLoop::run(Driver& driver)
 {
+    const EventLoop* const outer = tRunning;
+    tRunning = this;
     while (true) {
         if (!stopping_ && stopRequested_.load()) {
             stopping_ = true;
@@ -116,6 +133,7 @@ EventLoop::run(Driver& driver)
         driver.afterEvents();
     }
     driver.onExit();
+    tRunning = outer;
     done_.store(true);
 }
 

@@ -9,7 +9,8 @@
  * the loop polls, calls `onReady()` on ready handlers in watch order,
  * and ends with `afterEvents()`. Its vectors are reused: a round
  * allocates nothing. `wake()`/`requestStop()` write one byte to a
- * non-blocking pipe (async-signal-safe). Deadlines use an injectable
+ * non-blocking pipe (async-signal-safe); `wake()` skips it on the loop
+ * thread, whose round has not polled yet. Deadlines use an injectable
  * clock that may be virtual, so while one is armed the loop waits for
  * it at most a short real-time tick. The first round after a stop
  * request calls `onStop()`; the loop ends when `prepare()` returns
@@ -67,8 +68,12 @@ class EventLoop {
     /** This round: wake no later than @p deadlineMs (nowMs() clock). */
     void arm(double deadlineMs);
 
+    /** Makes a poll() in progress return. A no-op on the loop thread,
+     *  whose round has not polled yet. */
     void wake();
 
+    /** Ends run() after a final onStop() round; wakes from any thread
+     *  or signal handler. */
     void requestStop();
 
     bool stopping() const { return stopping_; }
@@ -85,6 +90,7 @@ class EventLoop {
 
   private:
     int pollTimeoutMs() const;
+    void writeWake();
 
     std::function<double()> clock_;
     UniqueFd wakeRead_;

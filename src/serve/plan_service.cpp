@@ -418,8 +418,8 @@ PlanService::plannerFor(const PlanRequest& request)
     // Fold the base catalog's identity in alongside the request's
     // (scenario, rates): cached planners must not survive into a
     // different price list should two services ever share a map.
-    const std::string key =
-        strCat(request.plannerKey(), '|', catalog_fingerprint_);
+    std::string key = request.plannerKey();
+    key += catalog_fingerprint_;  // After the self-delimiting key.
     std::lock_guard<std::mutex> lock(planners_mutex_);
     if (std::shared_ptr<Planner>* pooled = planners_.get(key)) {
         planner_reuses_.inc();

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/base64.hpp"
+#include "common/bytes.hpp"
 #include "common/logging.hpp"
 #include "serve/schema.hpp"
 
@@ -410,7 +411,7 @@ parseScenario(JsonValue& obj)
 // ---- Writer helpers --------------------------------------------------
 // Doubles on the wire must round-trip exactly — a re-serialized request
 // has to keep its canonical (coalescing) identity — so numbers use
-// strExact, the same %.17g spelling the cache keys use.
+// strExact's %.17g, which round-trips every finite double.
 
 /** Appends @p s as a JSON string literal. */
 void
@@ -518,18 +519,48 @@ writeResponse(const PlanResponse& response, schema::FieldSet fields)
 }
 
 /**
- * Appends a length-prefixed element to a key: wire names are arbitrary,
- * so a bare join would let "A40,H100" (one name) collide with
- * ["A40","H100"] (two) and coalesce distinct requests onto one cached
- * answer. Keys are appended, not strCat'ed: every request on the
- * serving path builds one, and stream setup would cost more.
+ * Packs the @p fields of @p request in row order, from the values, not
+ * their spelling. Every field has one fixed shape (names and lists are
+ * length-prefixed), so equal bytes mean equal fields: "A40,H100" (one
+ * name) never collides with ["A40","H100"] (two).
  */
-void
-putKeyElem(std::string& key, const std::string& s)
+std::string
+packKey(const PlanRequest& request, schema::FieldSet fields)
 {
-    key += std::to_string(s.size());
-    key += ':';
-    key += s;
+    std::string key;
+    key.reserve(320);
+    for (std::size_t row = 0; row < std::size(schema::kRequestFields);
+         ++row) {
+        const auto field = static_cast<Req>(row);
+        if (!(fields & schema::bit(field)))
+            continue;
+        switch (field) {
+        case Req::Query:
+            bytes::putU8(key, static_cast<std::uint8_t>(request.query));
+            break;
+        case Req::Gpu: bytes::putStr(key, request.gpu); break;
+        case Req::Gpus:
+            bytes::putUint(key,
+                           static_cast<std::uint32_t>(request.gpus.size()));
+            for (const std::string& gpu : request.gpus)
+                bytes::putStr(key, gpu);
+            break;
+        case Req::Scenario: request.scenario.appendKey(key); break;
+        case Req::Rates:
+            bytes::putUint(key,
+                           static_cast<std::uint32_t>(request.rates.size()));
+            for (const CloudOffering& rate : request.rates) {
+                bytes::putStr(key, rate.gpuName);
+                bytes::putF64(key, rate.dollarsPerHour);
+            }
+            break;
+        case Req::Id:
+        case Req::Tenant:
+        case Req::Snapshot:
+            break;  // Never identity (schema::kKeyFields).
+        }
+    }
+    return key;
 }
 
 }  // namespace
@@ -559,31 +590,13 @@ parseQueryKind(const std::string& name)
 std::string
 PlanRequest::canonicalKey() const
 {
-    std::string key = queryKindName(query);
-    key += "|gpu=";
-    putKeyElem(key, gpu);
-    key += "|gpus=";
-    for (const std::string& g : gpus) {
-        putKeyElem(key, g);
-        key += ',';
-    }
-    key += '|';
-    key += plannerKey();
-    return key;
+    return packKey(*this, schema::kKeyFields);
 }
 
 std::string
 PlanRequest::plannerKey() const
 {
-    std::string key = scenario.canonicalKey();
-    key += "|rates=";
-    for (const CloudOffering& rate : rates) {
-        putKeyElem(key, rate.gpuName);
-        key += '@';
-        key += strExact(rate.dollarsPerHour);
-        key += ';';
-    }
-    return key;
+    return packKey(*this, schema::kPlannerKeyFields);
 }
 
 Result<PlanRequest>

@@ -117,14 +117,20 @@ struct PlanRequest {
     /**
      * Request identity *excluding* the id and tenant: two tenants
      * asking the same question coalesce onto one execution keyed by
-     * this string.
+     * this string, and the router hashes it onto its ring. The bytes
+     * are packed from the decoded values (schema::kKeyFields, in row
+     * order): the kind as one byte, names length-prefixed, doubles as
+     * their 8-byte bit patterns, integers as u64. So two requests
+     * share a key iff their values are equal, however either codec
+     * spelled them. Binary, for equality and hashing only; not a wire
+     * contract, so which shard owns a key may change between versions.
      */
     std::string canonicalKey() const;
 
     /**
-     * The (scenario, rates) part of the identity: requests with equal
-     * planner keys share one `Planner` (and its step cache) even when
-     * they ask different questions.
+     * The (scenario, rates) part of the identity, packed the same way:
+     * requests with equal planner keys share one `Planner` (and its
+     * step cache) even when they ask different questions.
      */
     std::string plannerKey() const;
 };

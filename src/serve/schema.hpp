@@ -40,6 +40,7 @@ bit(Field field)
 struct FieldSpec {
     const char* json;  ///< JSON key.
     std::uint8_t tag;  ///< Binary wire tag.
+    bool key = false;  ///< Request identity: in canonicalKey().
 };
 
 /** Request fields; rows in JSON key order, enum value = row. */
@@ -47,8 +48,9 @@ enum class Req : std::uint8_t {
     Id, Tenant, Query, Gpu, Gpus, Scenario, Rates, Snapshot,
 };
 inline constexpr FieldSpec kRequestFields[] = {
-    {"id", 2},   {"tenant", 3},   {"query", 1}, {"gpu", 4},
-    {"gpus", 5}, {"scenario", 6}, {"rates", 7}, {"snapshot", 8},
+    {"id", 2},          {"tenant", 3},         {"query", 1, true},
+    {"gpu", 4, true},   {"gpus", 5, true},     {"scenario", 6, true},
+    {"rates", 7, true}, {"snapshot", 8},
 };
 
 /** Response fields; rows in JSON key order, enum value = row. */
@@ -79,6 +81,28 @@ rowsByTag(const FieldSpec (&rows)[N])
 }
 inline constexpr auto kRequestByTag = rowsByTag(kRequestFields);
 inline constexpr auto kResponseByTag = rowsByTag(kResponseFields);
+
+/** The identity fields: canonicalKey() packs these, in row order. */
+template <std::size_t N>
+constexpr FieldSet
+keyFields(const FieldSpec (&rows)[N])
+{
+    FieldSet out = 0;
+    for (std::size_t i = 0; i < N; ++i)
+        if (rows[i].key)
+            out |= FieldSet{1} << i;
+    return out;
+}
+inline constexpr FieldSet kKeyFields = keyFields(kRequestFields);
+/** plannerKey(): the (scenario, rates) tail of canonicalKey(). */
+inline constexpr FieldSet kPlannerKeyFields =
+    bit(Req::Scenario) | bit(Req::Rates);
+static_assert(!(kKeyFields &
+                (bit(Req::Id) | bit(Req::Tenant) | bit(Req::Snapshot))),
+              "id and tenant never split a coalesced execution, and "
+              "snapshot is only on live kinds, which are never cached");
+static_assert((kKeyFields & kPlannerKeyFields) == kPlannerKeyFields,
+              "one answer key never needs two planners");
 
 /** Per-GPU, GPU-list, or live (answered from service state). */
 enum class KindClass : std::uint8_t { PerGpu, Sweep, Live };

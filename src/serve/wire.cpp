@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/bytes.hpp"
 #include "common/logging.hpp"
 #include "serve/schema.hpp"
 
@@ -15,43 +16,10 @@ using schema::fail;
 using schema::Req;
 using schema::Resp;
 
-// ---- Little-endian primitive writers ---------------------------------
-
-void
-putU8(std::string& out, unsigned char v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-/** Appends @p v little-endian, in exactly sizeof(T) bytes. */
-template <typename T>
-void
-putUint(std::string& out, T v)
-{
-    for (std::size_t i = 0; i < sizeof v; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-putF64(std::string& out, double v)
-{
-    // The bit pattern, not a decimal spelling: doubles round-trip
-    // exactly, so a decoded message keeps its coalescing identity and
-    // writePlanResponse(decode(x)) reproduces the JSON path's bytes.
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    putUint(out, bits);
-}
-
-void
-putStr(std::string& out, std::string_view s)
-{
-    if (s.size() > std::numeric_limits<std::uint32_t>::max())
-        fatal("wire: string exceeds the u32 length prefix");
-    putUint(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s.data(), s.size());
-}
+using bytes::putF64;
+using bytes::putStr;
+using bytes::putU8;
+using bytes::putUint;
 
 // ---- Bounds-checked reader -------------------------------------------
 

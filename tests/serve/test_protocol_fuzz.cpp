@@ -27,66 +27,10 @@
 
 #include "serve/protocol.hpp"
 #include "serve/wire.hpp"
+#include "support/seed_corpus.hpp"
 
 namespace ftsim {
 namespace {
-
-/** The valid lines mutation starts from. */
-std::vector<std::string>
-seedCorpus()
-{
-    std::vector<std::string> corpus = {
-        R"({"id":"t1-q1","query":"max_batch","gpu":"A40"})",
-        R"({"id":"t1-q2","query":"throughput","gpu":"H100",)"
-        R"("scenario":{"preset":"commonsense15k","epochs":3}})",
-        R"({"id":"t2-q1","query":"cost_table",)"
-        R"("gpus":["A40","A100-40GB"],"rates":{"A100-40GB":1.20}})",
-        R"({"id":"t2-q2","query":"cheapest_plan"})",
-        R"({"id":"t3-q1","query":"report","gpu":"A40",)"
-        R"("scenario":{"model":"blackmamba2p8b","num_queries":2e6}})",
-        R"({"tenant":"acme","query":"throughput","gpu":"A40",)"
-        R"("scenario":{"median_seq_len":256,"length_sigma":0.45,)"
-        R"("sparse":false}})",
-        // The live scrape (ISSUE-8): mutants graft scenario/gpu/
-        // snapshot keys onto it, which the parser must reject.
-        R"({"id":"s1","query":"stats"})",
-        // Astral-plane and surrogate seeds (ISSUE-9): a valid pair
-        // (U+1F600), a lone high surrogate, a lone low surrogate, and
-        // lax number spellings. The first must parse and round-trip
-        // its 4-byte UTF-8 identity; the rest are typed errors the
-        // mutator then explores around.
-        R"({"id":"\uD83D\uDE00","query":"max_batch","gpu":"A40"})",
-        R"({"id":"\uDBFF\uDFFF x \u0041","query":"cheapest_plan"})",
-        R"({"id":"\uD800","query":"max_batch","gpu":"A40"})",
-        R"({"id":"\uDC00","query":"max_batch","gpu":"A40"})",
-        R"({"query":"max_batch","gpu":"A40","scenario":{"epochs":+5}})",
-        R"({"query":"max_batch","gpu":"A40","scenario":{"epochs":.5}})",
-        // Out-of-range median_seq_len and a rate named twice: both
-        // must be typed errors here and in the binary codec.
-        R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":1e30}})",
-        R"({"query":"max_batch","gpu":"A40",)"
-        R"("scenario":{"median_seq_len":9007199254740993}})",
-        R"({"query":"cost_table","rates":{"A40":1.5,"A40":2.5}})",
-    };
-    // Plus the writer's own spelling of every request kind.
-    for (QueryKind kind :
-         {QueryKind::MaxBatch, QueryKind::Throughput,
-          QueryKind::CostTable, QueryKind::CheapestPlan,
-          QueryKind::Report, QueryKind::Stats}) {
-        PlanRequest req;
-        req.id = "fuzz";
-        req.tenant = "fuzz-tenant";
-        req.query = kind;
-        if (kind == QueryKind::CostTable ||
-            kind == QueryKind::CheapestPlan)
-            req.gpus = {"A40", "H100"};
-        else if (!isLiveKind(kind))
-            req.gpu = "A40";  // Live kinds carry no workload fields.
-        req.rates = {{"user", "L40S", 1.05}};
-        corpus.push_back(writePlanRequest(req));
-    }
-    return corpus;
-}
 
 /** One seeded mutation of @p line. */
 std::string
@@ -169,7 +113,7 @@ mutate(std::string line, std::mt19937& rng)
 
 TEST(ProtocolFuzz, ParserNeverCrashesAndErrorsAreTyped)
 {
-    const std::vector<std::string> corpus = seedCorpus();
+    const std::vector<std::string> corpus = protocolSeedLines();
     std::mt19937 rng(20260730);  // Fixed seed: a corpus, not a dice roll.
 
     constexpr int kIterations = 12000;

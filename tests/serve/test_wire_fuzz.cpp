@@ -33,90 +33,10 @@
 #include "net/framing.hpp"
 #include "serve/protocol.hpp"
 #include "serve/wire.hpp"
+#include "support/seed_corpus.hpp"
 
 namespace ftsim {
 namespace {
-
-/** Valid frames of every message type the mutator starts from. */
-std::vector<std::string>
-seedCorpus()
-{
-    std::vector<std::string> corpus;
-
-    // One request frame per kind, fields filled per its rules.
-    for (QueryKind kind :
-         {QueryKind::MaxBatch, QueryKind::Throughput,
-          QueryKind::CostTable, QueryKind::CheapestPlan,
-          QueryKind::Report, QueryKind::Snapshot,
-          QueryKind::LoadSnapshot, QueryKind::Fleet,
-          QueryKind::Stats}) {
-        PlanRequest req;
-        req.id = "fuzz";
-        req.query = kind;
-        if (kind == QueryKind::MaxBatch ||
-            kind == QueryKind::Throughput || kind == QueryKind::Report)
-            req.gpu = "A40";
-        else if (kind == QueryKind::CostTable ||
-                 kind == QueryKind::CheapestPlan)
-            req.gpus = {"A40", "H100"};
-        if (kind == QueryKind::LoadSnapshot)
-            req.snapshot = std::string("raw\0bytes\xff", 10);
-        if (!isLiveKind(kind)) {
-            req.tenant = "fuzz-tenant";
-            req.scenario = Scenario::gsMath()
-                               .withMedianSeqLen(256)
-                               .withLengthSigma(0.45)
-                               .withNumQueries(2.0e6)
-                               .withEpochs(3.0);
-            req.rates = {{"user", "L40S", 1.05}};
-        }
-        corpus.push_back(encodeRequestFrame(req));
-    }
-    {
-        // Out-of-range median_seq_len and a rate named twice: both
-        // must be typed errors here and in the JSON codec.
-        PlanRequest req;
-        req.query = QueryKind::MaxBatch;
-        req.gpu = "A40";
-        req.scenario.medianSeqLen = (std::uint64_t{1} << 53) + 1;
-        corpus.push_back(encodeRequestFrame(req));
-        req.scenario = Scenario::gsMath();
-        req.rates = {{"user", "A40", 1.5}, {"user", "A40", 2.5}};
-        corpus.push_back(encodeRequestFrame(req));
-    }
-
-    // Response frames: a value, a cost table, and an error.
-    {
-        PlanResponse resp;
-        resp.query = QueryKind::Throughput;
-        resp.id = "r1";
-        resp.ok = true;
-        resp.value = 1234.5678;
-        corpus.push_back(encodeResponseFrame(resp));
-    }
-    {
-        PlanResponse resp;
-        resp.query = QueryKind::CostTable;
-        resp.id = "r2";
-        resp.ok = true;
-        resp.rows = {{"A40", 48.0, 18, 42.5, 1.28, 96.4},
-                     {"H100", 80.0, 44, 97.25, 4.76, 131.9}};
-        corpus.push_back(encodeResponseFrame(resp));
-    }
-    {
-        PlanRequest failing;
-        failing.id = "r3";
-        failing.query = QueryKind::MaxBatch;
-        corpus.push_back(encodeResponseFrame(errorResponse(
-            failing,
-            Error{ErrorCode::UnknownGpu, "no such GPU \"B300\""})));
-    }
-
-    // A protocol-error frame (the third message type).
-    corpus.push_back(
-        encodeProtocolErrorFrame("p1", "bad frame: fuzz seed"));
-    return corpus;
-}
 
 /** One seeded mutation of the frame bytes. */
 std::string
@@ -200,7 +120,7 @@ frameOut(const std::string& bytes)
 
 TEST(WireFuzz, FramerAndDecoderNeverCrashAndErrorsAreTyped)
 {
-    const std::vector<std::string> corpus = seedCorpus();
+    const std::vector<std::string> corpus = wireSeedFrames();
     std::mt19937 rng(20260809);  // Fixed seed: a corpus, not a dice roll.
 
     constexpr int kIterations = 12000;
@@ -285,7 +205,7 @@ TEST(WireFuzz, SplitPointsNeverChangeTheOutcome)
     // Reassembly must be byte-stream-shape independent: feeding a
     // mutant in two arbitrary chunks yields the same frames (or the
     // same poison) as feeding it whole.
-    const std::vector<std::string> corpus = seedCorpus();
+    const std::vector<std::string> corpus = wireSeedFrames();
     std::mt19937 rng(20260810);
 
     for (int i = 0; i < 600; ++i) {

@@ -17,9 +17,9 @@ What is compared (and what deliberately is not):
   warm-vs-reference). They may regress by at most ``--tolerance``
   (default 25%) before the gate fails. Ratios of two timings taken on
   the same machine in the same run are far more stable than the
-  timings themselves; every gated ratio except bench_wire's is the
-  median of paired, order-alternating trials (bench_util.hpp's
-  ``bench::measure``), with its p10/p90 spread under ``spread``.
+  timings themselves; every gated ratio is the median of paired,
+  order-alternating trials (bench_util.hpp's ``bench::measure``), with
+  its p10/p90 spread under ``spread``.
 - Raw wall-clock numbers (``timings_ms``...) are *not* gated: they vary
   with the host and would make the gate flaky. The JSON artifacts keep
   them for trend dashboards.
@@ -63,9 +63,9 @@ CHECKS = {
         ("speedup_coalesced_vs_serial", "min_ratio"),
     ],
     # BENCH_wire.json also self-gates (bench_wire exits non-zero on a
-    # byte mismatch or a binary/JSON speedup below 1.3x); the baseline
-    # pins the deterministic trace shape, the zero-mismatch ledger,
-    # and the codec speedup ratio.
+    # byte mismatch or a paired median binary/JSON speedup below 1.3x);
+    # the baseline pins the deterministic trace shape, the zero-mismatch
+    # ledger, and the codec speedup ratio.
     "BENCH_wire.json": [
         ("requests_per_mode", "exact"),
         ("distinct_step_configs", "exact"),

@@ -57,10 +57,11 @@ def query_kinds():
 
 
 def schema_fields(table):
-    """(json key, wire tag) rows of a field table in serve/schema.hpp."""
+    """(json key, wire tag) rows of a field table in serve/schema.hpp
+    (a request row may end in its key flag)."""
     body = table_body(read("src/serve/schema.hpp"), table)
     rows = [(key, int(tag))
-            for key, tag in re.findall(r'\{"(\w+)", (\d+)\}', body)]
+            for key, tag in re.findall(r'\{"(\w+)", (\d+)(?:, \w+)?\}', body)]
     assert rows, "no fields scraped from " + table
     return rows
 
