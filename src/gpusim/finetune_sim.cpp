@@ -55,18 +55,20 @@ FineTuneSim::profileStep(const RunConfig& config) const
     ++steps_simulated_;
     const StepPlan& plan = builder_.stepPlan(config);
     // Reusable per-thread buffers keep the hot path allocation-free.
-    static thread_local EvaluatedStep eval;
-    plan.evaluate(config.batchSize, config.seqLen, eval);
-    return profileFromEval(plan, config, eval.flops.data(),
-                           eval.bytes.data(), eval.tiles.data(), 1);
+    static thread_local SweepBuffers eval;
+    plan.evaluateSweep(&config.batchSize, &config.seqLen, 1, eval);
+    return profileFromEval(plan, config, eval, 0);
 }
 
 StepProfile
 FineTuneSim::profileFromEval(const StepPlan& plan, const RunConfig& config,
-                             const double* flops, const double* bytes,
-                             const double* tiles,
-                             std::size_t stride) const
+                             const SweepBuffers& eval,
+                             std::size_t point) const
 {
+    const std::size_t stride = eval.points();
+    const double* flops = eval.flops.data() + point;
+    const double* bytes = eval.bytes.data() + point;
+    const double* tiles = eval.tiles.data() + point;
     StepProfile profile;
     profile.config = config;
 
@@ -278,9 +280,7 @@ FineTuneSim::profileSweep(const std::vector<RunConfig>& configs) const
         plan.evaluateSweep(batches.data(), seqs.data(), np, buf);
         for (std::size_t j = 0; j < np; ++j) {
             ++steps_simulated_;
-            out.push_back(profileFromEval(
-                plan, configs[lo + j], buf.flops.data() + j,
-                buf.bytes.data() + j, buf.tiles.data() + j, np));
+            out.push_back(profileFromEval(plan, configs[lo + j], buf, j));
         }
         lo = hi;
     }
@@ -292,8 +292,8 @@ FineTuneSim::stepSeconds(const RunConfig& config) const
 {
     ++steps_simulated_;
     const StepPlan& plan = builder_.stepPlan(config);
-    static thread_local EvaluatedStep eval;
-    plan.evaluate(config.batchSize, config.seqLen, eval);
+    static thread_local SweepBuffers eval;
+    plan.evaluateSweep(&config.batchSize, &config.seqLen, 1, eval);
     double total = exec_.calibration().stepOverheadMs * 1e-3;
     const std::size_t n = plan.size();
     for (std::size_t i = 0; i < n; ++i)
@@ -354,48 +354,6 @@ FineTuneSim::throughput(std::size_t batch, std::size_t seq_len,
     config.seqLen = paddedSeqLen(seq_len, batch, length_sigma);
     config.sparse = sparse;
     return static_cast<double>(batch) / stepSeconds(config);
-}
-
-Result<std::vector<ThroughputPoint>>
-FineTuneSim::throughputSweep(std::size_t seq_len, bool sparse,
-                             std::size_t max_batch,
-                             double length_sigma) const
-{
-    if (max_batch == 0)
-        return Error{ErrorCode::InvalidArgument,
-                     "FineTuneSim::throughputSweep: zero max batch"};
-    // One vectorized pass over the compiled plan, bit-identical to a
-    // per-batch stepSeconds loop (evaluateSweep + accumulateSweepSeconds
-    // both preserve the scalar evaluation order).
-
-    RunConfig shape;
-    shape.sparse = sparse;
-    const StepPlan& plan = builder_.stepPlan(shape);
-
-    std::vector<std::size_t> batches(max_batch);
-    std::vector<std::size_t> seqs(max_batch);
-    for (std::size_t i = 0; i < max_batch; ++i) {
-        batches[i] = i + 1;
-        seqs[i] = paddedSeqLen(seq_len, i + 1, length_sigma);
-    }
-    static thread_local SweepBuffers buf;
-    plan.evaluateSweep(batches.data(), seqs.data(), max_batch, buf);
-
-    std::vector<double> totals(
-        max_batch, exec_.calibration().stepOverheadMs * 1e-3);
-    exec_.accumulateSweepSeconds(
-        plan.kinds.data(), plan.efficiencies.data(), plan.counts.data(),
-        plan.size(), buf.flops.data(), buf.bytes.data(),
-        buf.tiles.data(), max_batch, totals.data());
-    steps_simulated_ += max_batch;
-
-    std::vector<ThroughputPoint> points(max_batch);
-    for (std::size_t i = 0; i < max_batch; ++i) {
-        points[i].batchSize = i + 1;
-        points[i].stepSeconds = totals[i];
-        points[i].qps = static_cast<double>(i + 1) / totals[i];
-    }
-    return points;
 }
 
 }  // namespace ftsim

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/result.hpp"
 #include "gpusim/exec_model.hpp"
 #include "gpusim/workload.hpp"
 
@@ -74,13 +73,6 @@ struct StepProfile {
     double moeFractionOfStep() const;
 };
 
-/** One point of a throughput sweep. */
-struct ThroughputPoint {
-    std::size_t batchSize = 0;
-    double qps = 0.0;
-    double stepSeconds = 0.0;
-};
-
 /** Simulator facade: one model on one GPU. */
 class FineTuneSim {
   public:
@@ -96,8 +88,9 @@ class FineTuneSim {
     /**
      * Profiles one training step in full detail. Runs on the compiled
      * `StepPlan` path: the kernel graph is compiled once per config
-     * shape and only the batch/seq-dependent terms are re-evaluated, so
-     * repeated profiles (sweeps) do not rebuild the workload.
+     * shape and only the batch/seq-dependent terms are re-evaluated (a
+     * one-point `StepPlan::evaluateSweep`), so repeated profiles do not
+     * rebuild the workload.
      */
     StepProfile profileStep(const RunConfig& config) const;
 
@@ -139,18 +132,6 @@ class FineTuneSim {
     double throughput(std::size_t batch, std::size_t seq_len, bool sparse,
                       double length_sigma = 0.0) const;
 
-    /**
-     * Throughput at batch sizes 1..max_batch (Figs. 8, 14, 15).
-     * `InvalidArgument` when max_batch is 0. Runs as one vectorized
-     * pass over the compiled plan (`StepPlan::evaluateSweep` + the
-     * execution model's sweep accumulator) — every point is
-     * deterministic and bit-identical to a per-batch `stepSeconds`
-     * loop.
-     */
-    Result<std::vector<ThroughputPoint>> throughputSweep(
-        std::size_t seq_len, bool sparse, std::size_t max_batch,
-        double length_sigma = 0.0) const;
-
     /** Effective (padding-amplified) sequence length for a batch. */
     std::size_t paddedSeqLen(std::size_t seq_len, std::size_t batch,
                              double length_sigma) const;
@@ -180,7 +161,7 @@ class FineTuneSim {
 
     /**
      * Number of full training steps simulated so far (profileStep or
-     * stepSeconds calls; sweep entry points count once per batch size).
+     * stepSeconds calls; profileSweep counts once per config).
      * Cache layers above (see core/planner.hpp) use this to prove that
      * repeated queries do not re-simulate — each step simulation walks
      * the whole kernel workload and dominates query latency.
@@ -189,16 +170,14 @@ class FineTuneSim {
 
   private:
     /**
-     * Aggregates one step profile from per-kernel FLOPs/bytes/tiles at
-     * stride @p stride (1 for an `EvaluatedStep`, n_points for a column
-     * of `SweepBuffers` planes). The single source of the aggregation
-     * arithmetic for profileStep and profileSweep.
+     * Aggregates one step profile from column @p point of the planes
+     * `plan.evaluateSweep` filled into @p eval. The single source of
+     * the aggregation arithmetic for profileStep and profileSweep.
      */
     StepProfile profileFromEval(const StepPlan& plan,
                                 const RunConfig& config,
-                                const double* flops, const double* bytes,
-                                const double* tiles,
-                                std::size_t stride) const;
+                                const SweepBuffers& eval,
+                                std::size_t point) const;
 
     ModelSpec model_;
     WorkloadBuilder builder_;
@@ -206,9 +185,6 @@ class FineTuneSim {
     /** Instrumentation only; atomic so const queries stay thread-safe. */
     mutable std::atomic<std::uint64_t> steps_simulated_{0};
 };
-
-// normalizeKernelName moved to gpusim/kernel.hpp (it is a kernel-name
-// utility shared with the plan compiler); still visible via this header.
 
 }  // namespace ftsim
 

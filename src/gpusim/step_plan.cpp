@@ -97,61 +97,6 @@ KernelFormula::fixed(double flops, double bytes, double tiles)
 }
 
 void
-KernelFormula::apply(double batch, double seq, double n_tok,
-                     double tok_per_expert, double& flops, double& bytes,
-                     double& tiles) const
-{
-    // Every expression below replicates the reference emission in
-    // workload.cpp term-for-term, in the same evaluation order — the
-    // bit-identity contract (see file comment in step_plan.hpp).
-    const double m =
-        rows == RowsKind::Tokens ? n_tok : tok_per_expert;
-    switch (eval) {
-      case EvalKind::Fixed:
-        flops = a;
-        bytes = b;
-        tiles = c;
-        break;
-      case EvalKind::Gemm:
-        // gemm(): 2 * paddedRows(m) * k * n, optionally scaled for
-        // full-FT dX+dW; activation traffic + weight read (+ gradient
-        // write when full-FT).
-        flops = 2.0 * paddedRows(m) * a * b;
-        flops *= d;
-        bytes = kActBytes * (m * a + m * b) + c;
-        bytes += e;
-        tiles = ceilDivD(m, 32.0) * ceilDivD(b, 128.0);
-        break;
-      case EvalKind::Rowwise:
-        // rowwise(): ops * rows * width; read + write.
-        flops = b * m * a;
-        bytes = 2.0 * kActBytes * m * a;
-        tiles = m;
-        break;
-      case EvalKind::Attention:
-        flops = a * n_tok * seq * c;
-        bytes = b * kActBytes * n_tok * c;
-        tiles = batch * d * ceilDivD(seq, 64.0);
-        break;
-      case EvalKind::Conv:
-        flops = a * n_tok * c * d;
-        bytes = b * kActBytes * n_tok * c;
-        tiles = ceilDivD(n_tok * c, 4096.0);
-        break;
-      case EvalKind::Scan:
-        flops = a * n_tok * c;
-        bytes = b * kActBytes * n_tok * c;
-        tiles = batch * d;
-        break;
-      case EvalKind::Lora:
-        flops = paddedRows(m) * a * b;
-        bytes = kActBytes * m * b / 2.0 + c;
-        tiles = ceilDivD(m, 32.0);
-        break;
-    }
-}
-
-void
 StepPlan::push(std::uint32_t name_id, KernelKind kind, LayerClass layer,
                Stage stage, double count, const KernelFormula& formula,
                double efficiency)
@@ -202,23 +147,6 @@ StepPlan::finalize(const StringInterner& names)
 }
 
 void
-StepPlan::evaluate(std::size_t batch, std::size_t seq,
-                   EvaluatedStep& out) const
-{
-    if (batch == 0 || seq == 0)
-        fatal("WorkloadBuilder: zero batch or sequence length");
-    const double b = static_cast<double>(batch);
-    const double s = static_cast<double>(seq);
-    const double n_tok = b * s;
-    const double tok_per_expert = n_tok * activeExperts / nExperts;
-    const std::size_t n = size();
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        formulas[i].apply(b, s, n_tok, tok_per_expert, out.flops[i],
-                          out.bytes[i], out.tiles[i]);
-}
-
-void
 StepPlan::evaluateSweep(const std::size_t* batches,
                         const std::size_t* seqs, std::size_t n_points,
                         SweepBuffers& out) const
@@ -228,7 +156,7 @@ StepPlan::evaluateSweep(const std::size_t* batches,
 
     // Per-point inputs, hoisted once for the whole sweep. The
     // tok_per_expert expression keeps the reference multiply-then-divide
-    // order (see evaluate()).
+    // order.
     for (std::size_t j = 0; j < n_points; ++j) {
         if (batches[j] == 0 || seqs[j] == 0)
             fatal("WorkloadBuilder: zero batch or sequence length");
@@ -242,9 +170,10 @@ StepPlan::evaluateSweep(const std::size_t* batches,
 
     // Kernel-outer / point-inner: one formula dispatch per kernel, then
     // a straight-line loop over contiguous lanes. Every expression
-    // below replicates KernelFormula::apply term-for-term in the same
-    // evaluation order — the bit-identity contract (this TU is built
-    // with -ffp-contract=off so no lane picks up an FMA).
+    // below replicates the reference emission in workload.cpp
+    // term-for-term in the same evaluation order — the bit-identity
+    // contract (this TU is built with -ffp-contract=off so no lane
+    // picks up an FMA).
     const double* n_tok = out.nTok.data();
     for (std::size_t i = 0; i < n; ++i) {
         const KernelFormula& f = formulas[i];
@@ -263,6 +192,9 @@ StepPlan::evaluateSweep(const std::size_t* batches,
             }
             break;
           case EvalKind::Gemm:
+            // gemm(): 2 * paddedRows(m) * k * n, optionally scaled for
+            // full-FT dX+dW; activation traffic + weight read (+
+            // gradient write when full-FT).
             for (std::size_t j = 0; j < n_points; ++j) {
                 const double m = M[j];
                 double flops = 2.0 * paddedRows(m) * f.a * f.b;
@@ -275,6 +207,7 @@ StepPlan::evaluateSweep(const std::size_t* batches,
             }
             break;
           case EvalKind::Rowwise:
+            // rowwise(): ops * rows * width; read + write.
             for (std::size_t j = 0; j < n_points; ++j) {
                 const double m = M[j];
                 F[j] = f.b * m * f.a;
@@ -313,20 +246,6 @@ StepPlan::evaluateSweep(const std::size_t* batches,
             break;
         }
     }
-}
-
-void
-StepPlan::evaluateSweep(std::size_t batch_lo, std::size_t batch_hi,
-                        std::size_t seq, SweepBuffers& out) const
-{
-    if (batch_lo == 0 || batch_hi < batch_lo)
-        fatal("StepPlan::evaluateSweep: bad batch range");
-    const std::size_t n_points = batch_hi - batch_lo + 1;
-    std::vector<std::size_t> batches(n_points);
-    std::vector<std::size_t> seqs(n_points, seq);
-    for (std::size_t j = 0; j < n_points; ++j)
-        batches[j] = batch_lo + j;
-    evaluateSweep(batches.data(), seqs.data(), n_points, out);
 }
 
 }  // namespace ftsim

@@ -13,15 +13,17 @@
  * compiled once per (model, config-shape): the batch-independent kernel
  * fields (interned name id, kind, layer class, stage, launch count) live
  * in SoA arrays, and each kernel carries a tiny `KernelFormula` that
- * recomputes only the batch/seq-dependent FLOPs / bytes / tiles terms.
- * `evaluate()` writes into caller-owned reusable buffers, so the
- * simulation hot path performs no heap allocation at all.
+ * holds the constants of its batch/seq-dependent FLOPs / bytes / tiles
+ * terms. `evaluateSweep()` is the one evaluator: it writes any number
+ * of (batch, seq) points — one for a single step — into caller-owned
+ * reusable buffers, so the simulation hot path performs no heap
+ * allocation at all.
  *
- * Bit-identity contract: `KernelFormula::apply` reproduces the exact
+ * Bit-identity contract: `evaluateSweep` reproduces the exact
  * floating-point expressions (including evaluation order) of the
  * reference emission path in workload.cpp, and both paths share the
  * `ceilDivD` / `paddedRows` / `kActBytes` helpers below. The golden
- * tests in tests/gpusim/test_step_plan.cpp pin the two paths equal to
+ * tests in tests/gpusim/test_step_plan*.cpp pin the two paths equal to
  * the last bit.
  */
 
@@ -114,28 +116,9 @@ struct KernelFormula {
                               double bytes_tail);
     /** Fixed: a=flops, b=bytes, c=tiles (batch-independent). */
     static KernelFormula fixed(double flops, double bytes, double tiles);
-
-    /** Evaluates the formula; mirrors the reference arithmetic. */
-    void apply(double batch, double seq, double n_tok,
-               double tok_per_expert, double& flops, double& bytes,
-               double& tiles) const;
 };
 
 // ---- The compiled plan -----------------------------------------------
-
-/** Reusable evaluation buffers (one set per thread suffices). */
-struct EvaluatedStep {
-    std::vector<double> flops;
-    std::vector<double> bytes;
-    std::vector<double> tiles;
-
-    void resize(std::size_t n)
-    {
-        flops.resize(n);
-        bytes.resize(n);
-        tiles.resize(n);
-    }
-};
 
 /**
  * Reusable buffers for `StepPlan::evaluateSweep`: the per-point inputs
@@ -215,35 +198,22 @@ struct StepPlan {
     void finalize(const StringInterner& names);
 
     /**
-     * Evaluates every kernel's FLOPs/bytes/tiles at (batch, seq) into
-     * @p out (resized as needed; reuse it across calls to stay
-     * allocation-free). Matches the reference emission bit-for-bit.
-     */
-    void evaluate(std::size_t batch, std::size_t seq,
-                  EvaluatedStep& out) const;
-
-    /**
-     * Evaluates every kernel at *all* @p n_points sweep points in one
-     * pass: the loops run kernel-outer / point-inner with the per-kernel
-     * formula dispatch hoisted out of the inner loop, so each EvalKind
-     * body is a straight-line loop over contiguous arrays that the
-     * compiler can auto-vectorize. @p batches and @p seqs are parallel
-     * arrays (a full sweep pads the sequence length per batch, so seq
-     * varies along the sweep). Bit-identity contract: point j of the
-     * output planes equals `evaluate(batches[j], seqs[j], ...)` to the
-     * last bit — the per-kind expressions are the same terms in the
-     * same order, and this TU is compiled with `-ffp-contract=off` so
-     * no FMA contraction can perturb a lane.
+     * Evaluates every kernel at all @p n_points (batch, seq) points in
+     * one pass; a single step is the one-point sweep. @p batches and
+     * @p seqs are parallel arrays (a full sweep pads the sequence
+     * length per batch, so seq varies along the sweep). The loops run
+     * kernel-outer / point-inner with the per-kernel formula dispatch
+     * hoisted out of the inner loop, so each EvalKind body is a
+     * straight-line loop over contiguous arrays that the compiler can
+     * auto-vectorize. Bit-identity contract: point j of the output
+     * planes equals the `KernelDesc` fields the reference `buildStep`
+     * emits at (batches[j], seqs[j]) to the last bit — the per-kind
+     * expressions are the reference terms in the same order, and this
+     * TU is compiled with `-ffp-contract=off` so no FMA contraction can
+     * perturb a lane. Fatal on a zero batch or sequence length.
      */
     void evaluateSweep(const std::size_t* batches, const std::size_t* seqs,
                        std::size_t n_points, SweepBuffers& out) const;
-
-    /**
-     * Convenience overload: the contiguous batch range
-     * [batch_lo, batch_hi] at one fixed sequence length.
-     */
-    void evaluateSweep(std::size_t batch_lo, std::size_t batch_hi,
-                       std::size_t seq, SweepBuffers& out) const;
 };
 
 }  // namespace ftsim

@@ -88,7 +88,7 @@ class WorkloadBuilder {
     /**
      * The compiled plan for @p config's shape. Compiled on first use
      * and cached; batch size and sequence length do not participate in
-     * the cache key (they are `StepPlan::evaluate` inputs). Thread-safe.
+     * the cache key (they are `StepPlan::evaluateSweep` inputs). Thread-safe.
      */
     const StepPlan& stepPlan(const RunConfig& config) const;
 

@@ -108,12 +108,12 @@ TEST(FineTuneSim, ThroughputGrowsSublinearly)
 TEST(FineTuneSim, ThroughputMonotonicInBatch)
 {
     FineTuneSim sim(ModelSpec::blackMamba2p8b(), GpuSpec::a40());
-    auto sweep_result = sim.throughputSweep(79, true, 20);
-    ASSERT_TRUE(sweep_result.ok());
-    const auto& sweep = sweep_result.value();
-    ASSERT_EQ(sweep.size(), 20u);
-    for (std::size_t i = 1; i < sweep.size(); ++i)
-        EXPECT_GE(sweep[i].qps, sweep[i - 1].qps * 0.999);
+    double previous = sim.throughput(1, 79, true);
+    for (std::size_t b = 2; b <= 20; ++b) {
+        const double qps = sim.throughput(b, 79, true);
+        EXPECT_GE(qps, previous * 0.999) << "batch " << b;
+        previous = qps;
+    }
 }
 
 TEST(FineTuneSim, SmUtilRisesWithBatch)
@@ -218,16 +218,6 @@ TEST(NormalizeKernelNameTest, RecomputeSuffixCombinesWithBackward)
     EXPECT_EQ(normalizeKernelName("silu_bwd (recompute)"), "silu");
     // The suffix is only stripped at the very end of the name.
     EXPECT_EQ(normalizeKernelName("a (recompute) b"), "a (recompute) b");
-}
-
-TEST(FineTuneSim, SweepRejectsZeroMax)
-{
-    // Migrated from fatal() to the Result/InvalidArgument error path:
-    // a zero sweep is a domain failure callers branch on, not an abort.
-    FineTuneSim sim(ModelSpec::mixtral8x7b(), GpuSpec::a40());
-    auto sweep = sim.throughputSweep(128, true, 0);
-    ASSERT_FALSE(sweep.ok());
-    EXPECT_EQ(sweep.code(), ErrorCode::InvalidArgument);
 }
 
 }  // namespace

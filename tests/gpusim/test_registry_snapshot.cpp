@@ -5,7 +5,7 @@
  * Two claims matter. First, fidelity: a plan that round-trips through
  * `saveRegistrySnapshot` / `loadRegistrySnapshot` must be
  * *bit-identical* to its donor — same keys, same SoA arrays, same
- * formula constants, same `evaluate()` output to the last ULP — and a
+ * formula constants, same `evaluateSweep()` output to the last ULP — and a
  * service warm-started from a snapshot must compile zero plans for the
  * donor's configs while answering byte-identically. Second, hostility:
  * snapshot bytes arrive over the wire, so truncation at any offset,
@@ -111,14 +111,14 @@ TEST(RegistrySnapshot, RoundTripIsBitIdentical)
         }
         // The re-derived aggregation tables evaluate identically:
         // bit-exact flops/bytes/tiles at several (batch, seq) points.
-        EvaluatedStep ea;
-        EvaluatedStep eb;
+        SweepBuffers ea;
+        SweepBuffers eb;
         for (const auto& [batch, seq] :
              {std::pair<std::size_t, std::size_t>{1, 128},
               {4, 512},
               {16, 4096}}) {
-            a.evaluate(batch, seq, ea);
-            b.evaluate(batch, seq, eb);
+            a.evaluateSweep(&batch, &seq, 1, ea);
+            b.evaluateSweep(&batch, &seq, 1, eb);
             ASSERT_EQ(ea.flops.size(), eb.flops.size());
             for (std::size_t i = 0; i < ea.flops.size(); ++i) {
                 EXPECT_EQ(ea.flops[i], eb.flops[i]);

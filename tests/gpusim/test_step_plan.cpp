@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "gpusim/finetune_sim.hpp"
 #include "gpusim/step_plan.hpp"
 #include "gpusim/workload.hpp"
@@ -85,7 +86,7 @@ TEST(StepPlan, PlanMirrorsReferenceKernelForKernel)
         const ModelSpec spec = mixtral ? ModelSpec::mixtral8x7b()
                                        : ModelSpec::blackMamba2p8b();
         WorkloadBuilder builder(spec);
-        EvaluatedStep eval;
+        SweepBuffers eval;
         for (bool sparse : kSparse)
             for (int ckpt : kCkpt)
                 for (std::size_t batch : kBatches)
@@ -94,7 +95,7 @@ TEST(StepPlan, PlanMirrorsReferenceKernelForKernel)
                             config(batch, seq, sparse, ckpt);
                         const auto ref = builder.buildStep(c);
                         const StepPlan& plan = builder.stepPlan(c);
-                        plan.evaluate(batch, seq, eval);
+                        plan.evaluateSweep(&batch, &seq, 1, eval);
                         ASSERT_EQ(plan.size(), ref.size()) << spec.name;
                         for (std::size_t i = 0; i < ref.size(); ++i) {
                             EXPECT_EQ(builder.kernelNames().name(
@@ -188,9 +189,12 @@ TEST(StepPlan, EvaluateRejectsZeroShapes)
 {
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     const StepPlan& plan = builder.stepPlan(config(1, 128, true, -1));
-    EvaluatedStep eval;
-    EXPECT_THROW(plan.evaluate(0, 128, eval), FatalError);
-    EXPECT_THROW(plan.evaluate(1, 0, eval), FatalError);
+    SweepBuffers eval;
+    const std::size_t zero = 0;
+    const std::size_t one = 1;
+    const std::size_t seq = 128;
+    EXPECT_THROW(plan.evaluateSweep(&zero, &seq, 1, eval), FatalError);
+    EXPECT_THROW(plan.evaluateSweep(&one, &zero, 1, eval), FatalError);
 }
 
 TEST(StepPlan, MoeSlotsCoverExactlyMoeKernels)

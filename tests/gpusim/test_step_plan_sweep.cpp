@@ -1,12 +1,11 @@
 /**
  * @file
- * Golden tests for the vectorized sweep path (ISSUE-9): one
- * `StepPlan::evaluateSweep` pass must reproduce per-batch
- * `StepPlan::evaluate`, the per-batch compiled profile path, AND the
- * retained reference emission (`profileStepReference`) to the last
- * bit, for every batch of every catalog (model, GPU, seq) config.
- * These tests are the enforcement arm of the sweep half of the
- * bit-identity contract in step_plan.hpp.
+ * Golden tests for the vectorized sweep path: one
+ * `StepPlan::evaluateSweep` pass must reproduce the reference emission
+ * (`buildStep`, `profileStepReference`) and the per-batch compiled
+ * profile path to the last bit, for every batch of every catalog
+ * (model, GPU, seq) config. These tests are the multi-point half of
+ * the bit-identity contract in step_plan.hpp.
  */
 
 #include <gtest/gtest.h>
@@ -71,16 +70,16 @@ expectProfilesBitIdentical(const StepProfile& a, const StepProfile& b)
     }
 }
 
-TEST(StepPlanSweep, EvaluateSweepMatchesEvaluateBitForBit)
+TEST(StepPlanSweep, EvaluateSweepMatchesReferenceEmission)
 {
     // Every shape of both model families: one evaluateSweep pass over
     // a batch range with per-batch sequence lengths must equal the
-    // per-point evaluate() column by column, bit for bit.
+    // KernelDesc fields the reference buildStep emits at each point,
+    // column by column, bit for bit.
     for (bool mixtral : {true, false}) {
         const ModelSpec spec = mixtral ? ModelSpec::mixtral8x7b()
                                        : ModelSpec::blackMamba2p8b();
         WorkloadBuilder builder(spec);
-        EvaluatedStep eval;
         SweepBuffers buf;
         for (bool sparse : {false, true})
             for (int ckpt : {-1, 0, 1}) {
@@ -97,73 +96,20 @@ TEST(StepPlanSweep, EvaluateSweepMatchesEvaluateBitForBit)
                                    batches.size(), buf);
                 ASSERT_EQ(buf.points(), batches.size());
                 for (std::size_t j = 0; j < batches.size(); ++j) {
-                    plan.evaluate(batches[j], seqs[j], eval);
-                    for (std::size_t i = 0; i < plan.size(); ++i) {
+                    const auto ref = builder.buildStep(
+                        config(batches[j], seqs[j], sparse, ckpt));
+                    ASSERT_EQ(plan.size(), ref.size());
+                    for (std::size_t i = 0; i < ref.size(); ++i) {
                         const std::size_t at = i * buf.points() + j;
-                        ASSERT_EQ(buf.flops[at], eval.flops[i])
-                            << "kernel " << i << " batch " << batches[j];
-                        ASSERT_EQ(buf.bytes[at], eval.bytes[i])
-                            << "kernel " << i << " batch " << batches[j];
-                        ASSERT_EQ(buf.tiles[at], eval.tiles[i])
-                            << "kernel " << i << " batch " << batches[j];
+                        ASSERT_EQ(buf.flops[at], ref[i].flops)
+                            << ref[i].name << " batch " << batches[j];
+                        ASSERT_EQ(buf.bytes[at], ref[i].bytes)
+                            << ref[i].name << " batch " << batches[j];
+                        ASSERT_EQ(buf.tiles[at], ref[i].tiles)
+                            << ref[i].name << " batch " << batches[j];
                     }
                 }
             }
-    }
-}
-
-TEST(StepPlanSweep, BatchRangeOverloadMatchesReferenceEmission)
-{
-    // The (batch_lo, batch_hi, seq) convenience form against the
-    // reference buildStep oracle: sweep lane j of kernel i must equal
-    // the KernelDesc the reference path emits at that batch.
-    WorkloadBuilder builder(ModelSpec::mixtral8x7b());
-    const StepPlan& plan = builder.stepPlan(config(1, 311, true, -1));
-    SweepBuffers buf;
-    plan.evaluateSweep(1, 32, 311, buf);
-    ASSERT_EQ(buf.points(), 32u);
-    for (std::size_t b = 1; b <= 32; ++b) {
-        const auto ref = builder.buildStep(config(b, 311, true, -1));
-        ASSERT_EQ(plan.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-            const std::size_t at = i * buf.points() + (b - 1);
-            ASSERT_EQ(buf.flops[at], ref[i].flops) << ref[i].name;
-            ASSERT_EQ(buf.bytes[at], ref[i].bytes) << ref[i].name;
-            ASSERT_EQ(buf.tiles[at], ref[i].tiles) << ref[i].name;
-        }
-    }
-}
-
-TEST(StepPlanSweep, ThroughputSweepMatchesPerBatchStepSeconds)
-{
-    // The vectorized throughputSweep against a hand-rolled per-batch
-    // stepSeconds loop — the exact computation the old fan-out ran —
-    // on every paper GPU, both models, both routing modes.
-    for (bool mixtral : {true, false}) {
-        const ModelSpec spec = mixtral ? ModelSpec::mixtral8x7b()
-                                       : ModelSpec::blackMamba2p8b();
-        for (const GpuSpec& gpu : GpuSpec::paperGpus()) {
-            FineTuneSim sim(spec, gpu);
-            for (bool sparse : {false, true}) {
-                auto sweep = sim.throughputSweep(148, sparse, 12, 0.4);
-                ASSERT_TRUE(sweep.ok());
-                ASSERT_EQ(sweep.value().size(), 12u);
-                for (const ThroughputPoint& pt : sweep.value()) {
-                    RunConfig c;
-                    c.batchSize = pt.batchSize;
-                    c.seqLen =
-                        sim.paddedSeqLen(148, pt.batchSize, 0.4);
-                    c.sparse = sparse;
-                    const double scalar = sim.stepSeconds(c);
-                    ASSERT_EQ(pt.stepSeconds, scalar)
-                        << spec.name << " on " << gpu.name << " batch "
-                        << pt.batchSize;
-                    ASSERT_EQ(pt.qps,
-                              static_cast<double>(pt.batchSize) /
-                                  scalar);
-                }
-            }
-        }
     }
 }
 
@@ -215,25 +161,19 @@ TEST(StepPlanSweep, ProfileSweepGroupsMixedShapesCorrectly)
                                    sim.profileStep(configs[i]));
 }
 
-TEST(StepPlanSweep, ThroughputSweepCountsOneStepPerBatch)
-{
-    FineTuneSim sim(ModelSpec::mixtral8x7b(), GpuSpec::a40());
-    const std::uint64_t before = sim.stepsSimulated();
-    ASSERT_TRUE(sim.throughputSweep(128, true, 9).ok());
-    EXPECT_EQ(sim.stepsSimulated() - before, 9u);
-}
-
 TEST(StepPlanSweep, RejectsDegenerateRanges)
 {
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     const StepPlan& plan = builder.stepPlan(config(1, 128, true, -1));
     SweepBuffers buf;
-    EXPECT_THROW(plan.evaluateSweep(0, 4, 128, buf), FatalError);
-    EXPECT_THROW(plan.evaluateSweep(5, 4, 128, buf), FatalError);
-    EXPECT_THROW(plan.evaluateSweep(1, 4, 0, buf), FatalError);
+    // A zero batch or a zero sequence length at any point is fatal.
     const std::size_t batches[] = {1, 0};
     const std::size_t seqs[] = {128, 128};
     EXPECT_THROW(plan.evaluateSweep(batches, seqs, 2, buf), FatalError);
+    const std::size_t ok_batches[] = {1, 2};
+    const std::size_t zero_seqs[] = {128, 0};
+    EXPECT_THROW(plan.evaluateSweep(ok_batches, zero_seqs, 2, buf),
+                 FatalError);
 }
 
 TEST(StepPlanSweep, PlannerObservationsMatchPerBatchProfiles)
